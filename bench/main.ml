@@ -1445,7 +1445,7 @@ let ablate () =
        ~header:[ "variant"; "pass"; "exec"; "time(s)"; "mean iters" ]
        rows)
 
-(* -- serve: campaign-as-a-service smoke + load bench -------------------- *)
+(* -- serve: campaign-as-a-service gates --------------------------------- *)
 
 let rec rm_rf path =
   match Sys.is_directory path with
@@ -1464,35 +1464,132 @@ let with_serve_dir f =
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 (* The bench binary re-execs itself as the server process ("serve-child"
-   argv mode, dispatched in the driver below) so the smoke gate can
-   kill -9 a real server process mid-campaign — the crash the durable
-   admission contract is written against, not a simulated one. In
-   ["workers"] pool mode the server in turn re-execs this binary as
-   "worker-child" processes, one per job attempt. *)
-let worker_argv_of_pool pool =
-  if String.equal pool "workers" then
-    Some [| Sys.executable_name; "worker-child" |]
-  else None
+   argv mode, dispatched in the driver below) so the gates can kill -9 a
+   real server process mid-campaign — the crash the durable admission
+   contract is written against, not a simulated one. The server in turn
+   re-execs this binary as "worker-child" processes, one per job attempt.
+   Chaos runs arm a poison plan: named cases make their worker exit
+   ("exit"), hang forever ("hang"), or SIGSTOP/SIGKILL/OOM itself. Mode
+   "plain" is the production configuration; "fast" scales the watchdog
+   clocks, crash budget and memory cap down so the escalation ladder runs
+   in test time; "no-exec" points the workers at a binary that does not
+   exist. *)
+let worker_argv = [| Sys.executable_name; "worker-child" |]
+let chaos_worker_max_crashes = 2
+let chaos_worker_stall_s = 2.0
+let chaos_worker_grace_s = 0.4
+let chaos_worker_mem_mb = 512
 
-let spawn_server ?(pool = "in-process") ~socket ~state ~runners () =
-  Unix.create_process Sys.executable_name
-    [| Sys.executable_name; "serve-child"; socket; state;
-       string_of_int runners; pool |]
-    Unix.stdin Unix.stdout Unix.stderr
+(* "case-a=stop,case-b=oom" -> a declarative poison plan; entries with
+   unknown labels are dropped *)
+let parse_poison_spec spec =
+  String.split_on_char ',' spec
+  |> List.filter_map (fun part ->
+       match String.index_opt part '=' with
+       | Some i ->
+         let case = String.sub part 0 i in
+         let label =
+           String.sub part (i + 1) (String.length part - i - 1)
+         in
+         Option.map (fun m -> (case, m)) (Serve.Jobrun.poison_of_label label)
+       | None -> None)
 
-let serve_child ~socket ~state ~runners ~pool =
-  let cfg =
+let serve_child ~socket ~state ~runners ~poison_spec ~mode =
+  let base =
     { Serve.Server.default_config with
       Serve.Server.socket; state_dir = state; runners; tick_s = 0.002;
-      worker_argv = worker_argv_of_pool pool }
+      poison = parse_poison_spec poison_spec; worker_argv }
+  in
+  let cfg =
+    match mode with
+    | "fast" ->
+      (* the stall deadline must still clear a real case repair with
+         margin, or the watchdog kills honest jobs *)
+      { base with
+        Serve.Server.stall_timeout_s = chaos_worker_stall_s;
+        abandon_grace_s = chaos_worker_grace_s;
+        max_crashes = chaos_worker_max_crashes;
+        worker_mem_mb = chaos_worker_mem_mb }
+    | "no-exec" ->
+      { base with
+        Serve.Server.worker_argv = [| Filename.concat state "no-such-worker" |] }
+    | _ -> base
   in
   ignore (Serve.Server.run cfg : Serve.Server.summary)
 
-let wait_exit pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+let spawn_server ?(poison_spec = "") ?(mode = "plain") ~socket ~state ~runners
+    () =
+  Unix.create_process Sys.executable_name
+    [| Sys.executable_name; "serve-child"; socket; state;
+       string_of_int runners; poison_spec; mode |]
+    Unix.stdin Unix.stdout Unix.stderr
 
-let kill_server pid =
+(* Direct children of [pid] (Linux /proc; [] where unavailable) *)
+let children_of pid =
+  match
+    In_channel.with_open_bin
+      (Printf.sprintf "/proc/%d/task/%d/children" pid pid)
+      In_channel.input_all
+  with
+  | s -> List.filter_map int_of_string_opt (String.split_on_char ' ' s)
+  | exception Sys_error _ -> []
+
+(* Gone (kill -0 says ESRCH) or exited and awaiting its new parent's reap
+   (state Z) *)
+let exited pid =
+  match Unix.kill pid 0 with
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+  | exception Unix.Unix_error _ -> false
+  | () -> (
+    match
+      In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid)
+        In_channel.input_all
+    with
+    | s -> (
+      match String.rindex_opt s ')' with
+      | Some i when i + 2 < String.length s -> s.[i + 2] = 'Z'
+      | _ -> false)
+    | exception Sys_error _ -> true)
+
+(* The subset of [pids] still running [within] seconds from now *)
+let outliving ~within pids =
+  let deadline = Unix.gettimeofday () +. within in
+  let rec go () =
+    let live = List.filter (fun p -> not (exited p)) pids in
+    if live = [] || Unix.gettimeofday () > deadline then live
+    else begin
+      Unix.sleepf 0.01;
+      go ()
+    end
+  in
+  go ()
+
+(* Every kill -9 of a server also checks that its workers died with it
+   (parent-death signal): each pid still running 1 s later is recorded
+   here and fails the gate that killed the server. *)
+let leaked_workers = ref []
+
+let kill9 pid =
+  let workers = children_of pid in
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  wait_exit pid
+  let status =
+    match Unix.waitpid [] pid with
+    | _, st -> Some st
+    | exception Unix.Unix_error _ -> None
+  in
+  leaked_workers := outliving ~within:1.0 workers @ !leaked_workers;
+  status
+
+let kill_server pid = ignore (kill9 pid : Unix.process_status option)
+
+let leak_report () =
+  match !leaked_workers with
+  | [] -> None
+  | pids ->
+    Some
+      (Printf.sprintf "%d worker process(es) outlived a kill -9'd server: %s"
+         (List.length pids)
+         (String.concat ", " (List.map string_of_int pids)))
 
 let serve_smoke_cases = List.filteri (fun i _ -> i mod 5 = 0) Dataset.Corpus.all
 
@@ -1602,8 +1699,7 @@ let serve_smoke () =
                         false
                       end
                       else begin
-                        Unix.kill pid Sys.sigkill;
-                        wait_exit pid;
+                        kill_server pid;
                         if Serve.Store.progress store 0 >= total then
                           print_endline
                             "note: job already complete at kill time";
@@ -1684,71 +1780,14 @@ let serve_smoke () =
                       (Serve.Client.request c Serve.Wire.Shutdown
                         : (Serve.Wire.response, string) result)))
         end));
+  Option.iter (failf "%s") (leak_report ());
   if !failures > 0 then exit 1;
   Printf.printf
-    "serve smoke ok: %d case-repairs accepted durably, killed -9 mid-campaign, \
-     resumed byte-identical\n"
+    "serve smoke ok: %d case-repairs accepted durably, killed -9 mid-campaign \
+     with its worker dying alongside, resumed byte-identical\n"
     total
 
 (* -- chaos-serve gate (dune runtest alias chaos-serve) ------------------ *)
-
-(* The chaos child is a real server process with the poison plan armed:
-   named cases reliably kill the whole process ("exit" on the in-process
-   pool), hang their runner forever ("hang"), or — under the "workers"
-   pool — SIGSTOP/SIGKILL/OOM the worker process mid-job, the crash
-   vectors only true preemption can reclaim. Everything else is the
-   production configuration; only the watchdog clocks (and in workers
-   mode the crash budget and memory cap) are scaled down so the
-   escalation ladder runs in test time. *)
-let chaos_worker_max_crashes = 2
-let chaos_worker_stall_s = 2.0
-let chaos_worker_grace_s = 0.4
-let chaos_worker_mem_mb = 512
-
-(* "case-a=stop,case-b=oom" -> a declarative poison plan; entries with
-   unknown labels are dropped *)
-let parse_poison_spec spec =
-  String.split_on_char ',' spec
-  |> List.filter_map (fun part ->
-       match String.index_opt part '=' with
-       | Some i ->
-         let case = String.sub part 0 i in
-         let label =
-           String.sub part (i + 1) (String.length part - i - 1)
-         in
-         Option.map (fun m -> (case, m)) (Serve.Jobrun.poison_of_label label)
-       | None -> None)
-
-let chaos_child ~socket ~state ~runners ~poison_spec ~mode =
-  let workers = String.equal mode "workers" in
-  (* hang/workers modes shorten the watchdog clocks so the escalation
-     ladder runs in test time — but the stall deadline must still clear a
-     real case repair with margin, or the watchdog kills honest jobs *)
-  let stall, grace =
-    match mode with
-    | "hang" -> (2.0, 0.2)
-    | "workers" -> (chaos_worker_stall_s, chaos_worker_grace_s)
-    | _ -> (300.0, 1.0)
-  in
-  let cfg =
-    { Serve.Server.default_config with
-      Serve.Server.socket; state_dir = state; runners; tick_s = 0.002;
-      stall_timeout_s = stall; abandon_grace_s = grace;
-      max_crashes =
-        (if workers then chaos_worker_max_crashes
-         else Serve.Server.default_config.Serve.Server.max_crashes);
-      poison = parse_poison_spec poison_spec;
-      worker_argv =
-        (if workers then worker_argv_of_pool "workers" else None);
-      worker_mem_mb = (if workers then chaos_worker_mem_mb else 0) }
-  in
-  ignore (Serve.Server.run cfg : Serve.Server.summary)
-
-let spawn_chaos ~socket ~state ~runners ~poison_spec ~mode =
-  Unix.create_process Sys.executable_name
-    [| Sys.executable_name; "chaos-child"; socket; state;
-       string_of_int runners; poison_spec; mode |]
-    Unix.stdin Unix.stdout Unix.stderr
 
 (* WNOHANG poll with a deadline, so a wedged server fails the gate instead
    of hanging runtest *)
@@ -1767,6 +1806,23 @@ let wait_status ~timeout_s pid =
     | exception Unix.Unix_error _ -> None
   in
   go ()
+
+(* Poll [f] every 20 ms until it returns [Some], for at most [timeout_s] *)
+let poll_until ~timeout_s f =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec go () =
+    match f () with
+    | Some _ as r -> r
+    | None when Unix.gettimeofday () > deadline -> None
+    | None ->
+      Unix.sleepf 0.02;
+      go ()
+  in
+  go ()
+
+let results_bytes ~state id =
+  let store = Serve.Store.open_dir ~scrub:false ~dir:state () in
+  Rb_util.Fsfile.read (Serve.Store.results_path store id)
 
 let chaos_serve () =
   section
@@ -1791,8 +1847,21 @@ let chaos_serve () =
     { Exec.Campaign_opts.default with Exec.Campaign_opts.seeds = [ 1 ] }
   in
   let max_crashes = Serve.Server.default_config.Serve.Server.max_crashes in
-  (* 1. reference bytes for each normal job on an untouched server: the
-     chaos run's non-poisoned results must be byte-identical to these *)
+  let check_results what ~state id ref_bytes =
+    match (ref_bytes, results_bytes ~state id) with
+    | Some a, Some b when String.equal a b -> ()
+    | Some _, Some _ ->
+      failf "%s: job %d results differ from the uninterrupted run" what id
+    | Some _, None -> failf "%s: job %d results missing" what id
+    | None, _ -> ()
+  in
+  let job_state c id =
+    match Serve.Client.request c (Serve.Wire.Status (Some id)) with
+    | Ok (Serve.Wire.Job { state; _ }) -> Some state
+    | Ok _ | Error _ -> None
+  in
+  (* 1. reference bytes for each normal job on an untouched server: every
+     later run's non-poisoned results must be byte-identical to these *)
   let reference =
     with_serve_dir (fun dir ->
         let socket = Filename.concat dir "sock" in
@@ -1823,11 +1892,7 @@ let chaos_serve () =
                           | Some m ->
                             failf "chaos reference job %d failed: %s" i m
                           | None -> ());
-                          let store =
-                            Serve.Store.open_dir ~scrub:false ~dir:state ()
-                          in
-                          Rb_util.Fsfile.read
-                            (Serve.Store.results_path store i))
+                          results_bytes ~state i)
                       normal_jobs
                   in
                   ignore
@@ -1835,18 +1900,20 @@ let chaos_serve () =
                       : (Serve.Wire.response, string) result);
                   bytes)))
   in
-  (* 2. the kill matrix: two normal jobs and one poison job on a server
-     whose poison case _exit(66)s the whole process mid-case, plus one
-     external kill -9 while a normal job is mid-journal. With one runner
-     at most one attempt is open per kill, so only the poison job can
-     spend the crash budget; the normal jobs must resume to byte-identical
-     results, and the poison job must be quarantined after exactly
-     [max_crashes] crashes. *)
+  let ref_job i = List.nth_opt reference i |> Option.join in
+  (* 2. the kill matrix: two normal jobs and one poison job whose case
+     _exit(66)s its worker, plus one external kill -9 of the whole server
+     while a normal job is mid-journal. With one runner only that job's
+     attempt is open at the kill, so only the poison job can spend the
+     crash budget: the normal jobs must resume to byte-identical results,
+     and the poison job must be quarantined after exactly [max_crashes]
+     worker deaths while the server stays up. *)
   with_serve_dir (fun dir ->
       let socket = Filename.concat dir "sock" in
       let state = Filename.concat dir "state" in
       let spawn () =
-        spawn_chaos ~socket ~state ~runners:1 ~poison_spec:(poison_case ^ "=exit") ~mode:"exit"
+        spawn_server ~poison_spec:(poison_case ^ "=exit") ~socket ~state
+          ~runners:1 ()
       in
       let pid0 = spawn () in
       let submitted =
@@ -1881,72 +1948,40 @@ let chaos_serve () =
         (* external SIGKILL point: once at least one case of job 0 is
            journaled, kill -9 the whole server *)
         let store = Serve.Store.open_dir ~scrub:false ~dir:state () in
-        let rec wait_mid tries =
-          if tries <= 0 then false
-          else if Serve.Store.progress store 0 >= 1 then true
-          else begin
-            Unix.sleepf 0.002;
-            wait_mid (tries - 1)
-          end
-        in
-        if not (wait_mid 20_000) then
-          failf "chaos: no journal progress before the kill window";
-        (try Unix.kill pid0 Sys.sigkill with Unix.Unix_error _ -> ());
-        (match wait_status ~timeout_s:30.0 pid0 with
+        if
+          poll_until ~timeout_s:40.0 (fun () ->
+              if Serve.Store.progress store 0 >= 1 then Some () else None)
+          = None
+        then failf "chaos: no journal progress before the kill window";
+        (match kill9 pid0 with
         | Some (Unix.WSIGNALED _) -> ()
         | Some _ | None -> failf "chaos: kill -9 did not take");
-        (* restart loop: each dispatch of the poison job _exit(66)s the
-           server; after [max_crashes] the startup scrub quarantines it
-           and the server finally stays up with every job terminal *)
-        let rec drive restarts pid =
-          if restarts > max_crashes + 3 then begin
-            failf "chaos: %d restarts without quarantine convergence"
-              restarts;
-            kill_server pid;
-            None
-          end
-          else begin
-            let deadline = Unix.gettimeofday () +. 120.0 in
-            let rec poll () =
+        let pid = spawn () in
+        let reaped = ref false in
+        Fun.protect
+          ~finally:(fun () -> if not !reaped then kill_server pid)
+          (fun () ->
+            let terminal () =
               match Unix.waitpid [ Unix.WNOHANG ] pid with
               | 0, _ ->
                 let st = Serve.Store.open_dir ~scrub:false ~dir:state () in
                 let terminal id =
                   match Serve.Store.status st id with
-                  | Some (Serve.Store.Done _) | Some (Serve.Store.Quarantined _)
-                    ->
-                    true
+                  | Some (Serve.Store.Done _ | Serve.Store.Quarantined _) -> true
                   | _ -> false
                 in
-                if terminal 0 && terminal 1 && terminal 2 then `Done
-                else if Unix.gettimeofday () > deadline then `Stuck
-                else begin
-                  Unix.sleepf 0.02;
-                  poll ()
-                end
-              | _, Unix.WEXITED 66 -> `Died
-              | _, _ -> `Bad
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> poll ()
+                if terminal 0 && terminal 1 && terminal 2 then Some true
+                else None
+              | _ ->
+                reaped := true;
+                Some false
+              | exception Unix.Unix_error _ -> None
             in
-            match poll () with
-            | `Done -> Some pid
-            | `Died -> drive (restarts + 1) (spawn ())
-            | `Stuck ->
-              failf "chaos: jobs never reached a terminal state";
-              kill_server pid;
-              None
-            | `Bad ->
-              failf "chaos: server died outside the poison exit";
-              None
-          end
-        in
-        match drive 0 (spawn ()) with
-        | None -> ()
-        | Some pid ->
-          let reaped = ref false in
-          Fun.protect
-            ~finally:(fun () -> if not !reaped then kill_server pid)
-            (fun () ->
+            match poll_until ~timeout_s:120.0 terminal with
+            | None -> failf "chaos: jobs never reached a terminal state"
+            | Some false ->
+              failf "chaos: a worker's poison exit took the server down"
+            | Some true ->
               (* seeded client-fault plan against the survivor: after every
                  fault a fresh connection must still get a clean STATUS *)
               let seed = 0xC040 in
@@ -1971,24 +2006,15 @@ let chaos_serve () =
                 if q.Serve.Store.crashes <> max_crashes then
                   failf
                     "chaos: quarantined after %d crash(es), want exactly %d"
-                    q.Serve.Store.crashes max_crashes
+                    q.Serve.Store.crashes max_crashes;
+                if not (contains q.Serve.Store.reason "exit 66") then
+                  failf "chaos: quarantine reason %S lacks the worker's exit 66"
+                    q.Serve.Store.reason
               | l ->
                 failf "chaos: %d quarantine record(s), want exactly 1 (job 2)"
                   (List.length l));
               List.iteri
-                (fun i ref_bytes ->
-                  match
-                    ( ref_bytes,
-                      Rb_util.Fsfile.read (Serve.Store.results_path store i) )
-                  with
-                  | Some a, Some b when String.equal a b -> ()
-                  | Some _, Some _ ->
-                    failf
-                      "chaos: job %d results differ from the uninterrupted \
-                       run"
-                      i
-                  | Some _, None -> failf "chaos: job %d results missing" i
-                  | None, _ -> ())
+                (fun i ref_bytes -> check_results "chaos" ~state i ref_bytes)
                 reference;
               (* wire-level claims on a clean connection, then a drain the
                  server must finish by exiting 0 on its own *)
@@ -1997,20 +2023,12 @@ let chaos_serve () =
               | Ok c ->
                 Fun.protect ~finally:(fun () -> Serve.Client.close c)
                   (fun () ->
-                    (match
-                       Serve.Client.request c (Serve.Wire.Status (Some 2))
-                     with
-                    | Ok
-                        (Serve.Wire.Job
-                           { state = Serve.Wire.Quarantined { crashes; _ };
-                             _ }) ->
+                    (match job_state c 2 with
+                    | Some (Serve.Wire.Quarantined { crashes; _ }) ->
                       if crashes <> max_crashes then
                         failf "chaos STATUS: %d crash(es) reported, want %d"
                           crashes max_crashes
-                    | Ok r ->
-                      failf "chaos STATUS 2: unexpected %s"
-                        (Serve.Wire.response_to_string r)
-                    | Error e -> failf "chaos STATUS 2: %s" e);
+                    | _ -> failf "chaos STATUS 2: not quarantined");
                     (match Serve.Client.request c (Serve.Wire.Results 2) with
                     | Ok
                         (Serve.Wire.Quarantined_result { id = 2; crashes; _ })
@@ -2066,142 +2084,118 @@ let chaos_serve () =
                 failf "chaos fsck: %d torn record(s)"
                   (Serve.Store.fsck_count `Torn report))
       end);
-  (* 3. watchdog scenario: a case that hangs its runner domain forever.
-     Only the stall watchdog and the abandon ladder can reclaim the slot;
-     after [max_crashes] abandonments the job must be quarantined without
-     the server ever dying, and a normal job queued behind it must still
-     finish. *)
+  (* 3. start-up quarantine: a case that hangs its worker forever, under
+     production watchdog clocks, and a normal job queued behind it. The
+     whole server is killed -9 while the hung attempt is open, until the
+     attempts WAL shows the crash budget spent; each time the hung worker
+     must die with the server within 1 s. The next start must quarantine
+     the job before dispatching anything, and the normal job must then
+     finish byte-identical. *)
   with_serve_dir (fun dir ->
       let socket = Filename.concat dir "sock" in
       let state = Filename.concat dir "state" in
-      let pid =
-        spawn_chaos ~socket ~state ~runners:1 ~poison_spec:(poison_case ^ "=hang") ~mode:"hang"
+      let spawn () =
+        spawn_server ~poison_spec:(poison_case ^ "=hang") ~socket ~state
+          ~runners:1 ()
       in
-      Fun.protect ~finally:(fun () -> kill_server pid)
+      let hung_worker () =
+        (* the pid HEALTH reports running job 0, once its worker has had
+           time to reach the hang: the poisoned case is the job's first *)
+        match Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket with
+        | Error _ -> None
+        | Ok c ->
+          Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+              poll_until ~timeout_s:30.0 (fun () ->
+                  match Serve.Client.request c Serve.Wire.Health with
+                  | Ok
+                      (Serve.Wire.Health
+                         { slots = [ (_, s) ]; worker_pids = [ p ]; _ })
+                    when contains s "running job 0 " ->
+                    Unix.sleepf 0.3;
+                    Some p
+                  | _ -> None))
+      in
+      let pid = ref (spawn ()) in
+      (match Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket with
+      | Error e -> failf "hang connect: %s" e
+      | Ok c ->
+        (* a submitting connection is subscribed to its jobs' streams;
+           closing it keeps CASE/DONE frames out of the polls below *)
+        Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+            List.iteri
+              (fun i cases ->
+                match
+                  Serve.Client.request c
+                    (Serve.Wire.Submit
+                       { tenant = "chaos"; backend = "rustbrain";
+                         cases = Some cases; opts = Some opts })
+                with
+                | Ok (Serve.Wire.Accepted { id; _ }) when id = i -> ()
+                | Ok r ->
+                  failf "hang submit %d: unexpected %s" i
+                    (Serve.Wire.response_to_string r)
+                | Error e -> failf "hang submit %d: %s" i e)
+              [ [ poison_case ]; [ nth 1; nth 2 ] ]));
+      let rec kill_loop k =
+        if k <= max_crashes && !failures = 0 then begin
+          match hung_worker () with
+          | None -> failf "hang: job 0 never ran (kill %d)" k
+          | Some worker ->
+            (match kill9 !pid with
+            | Some (Unix.WSIGNALED _) -> ()
+            | _ -> failf "hang: kill -9 %d did not take" k);
+            if outliving ~within:1.0 [ worker ] <> [] then
+              failf "hang: worker %d outlived the kill -9'd server" worker;
+            let store = Serve.Store.open_dir ~scrub:false ~dir:state () in
+            if Serve.Store.crash_count store 0 <> k then
+              failf "hang: attempts WAL counts %d crash(es) after kill %d"
+                (Serve.Store.crash_count store 0) k;
+            pid := spawn ();
+            kill_loop (k + 1)
+        end
+      in
+      kill_loop 1;
+      let reaped = ref false in
+      Fun.protect ~finally:(fun () -> if not !reaped then kill_server !pid)
         (fun () ->
-          match
-            Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
-          with
-          | Error e -> failf "hang connect: %s" e
-          | Ok sub_c ->
-            (* submit on its own connection and close it: a submitting
-               connection is subscribed to its jobs' streams, and CASE/DONE
-               frames interleaving with STATUS replies would confuse the
-               polling loop below *)
-            Fun.protect ~finally:(fun () -> Serve.Client.close sub_c)
-              (fun () ->
-                let submit cases =
-                  match
-                    Serve.Client.request sub_c
-                      (Serve.Wire.Submit
-                         { tenant = "chaos"; backend = "rustbrain";
-                           cases = Some cases; opts = Some opts })
-                  with
-                  | Ok (Serve.Wire.Accepted _) -> ()
-                  | Ok r ->
-                    failf "hang submit: unexpected %s"
-                      (Serve.Wire.response_to_string r)
-                  | Error e -> failf "hang submit: %s" e
-                in
-                (* poison first so it takes the slot, then a normal job
-                   that must finish behind the hang-abandon cycles *)
-                submit [ poison_case ];
-                submit [ nth 1; nth 2 ]);
-            (match Serve.Client.connect socket with
-            | Error e -> failf "hang poll connect: %s" e
-            | Ok c ->
-              Fun.protect ~finally:(fun () -> Serve.Client.close c)
-                (fun () ->
-                  let deadline = Unix.gettimeofday () +. 60.0 in
-                  let rec poll id =
-                    match
-                      Serve.Client.request c (Serve.Wire.Status (Some id))
-                    with
-                    | Ok
-                        (Serve.Wire.Job
-                           { state =
-                               Serve.Wire.Quarantined { crashes; reason; _ };
-                             _ }) ->
-                      if id <> 0 then
-                        failf "hang: job %d quarantined after %d: %s" id
-                          crashes reason
-                      else if crashes <> max_crashes then
-                        failf
-                          "hang: quarantined after %d abandonment(s), want %d"
-                          crashes max_crashes
-                    | Ok
-                        (Serve.Wire.Job
-                           { state = Serve.Wire.Finished { failed; _ }; _ })
-                      ->
-                      if id = 0 then
-                        failf "hang: poison job finished normally"
-                      else (
-                        match failed with
-                        | Some m -> failf "hang: normal job failed: %s" m
-                        | None -> ())
-                    | Ok r ->
-                      if Unix.gettimeofday () < deadline then begin
-                        Unix.sleepf 0.05;
-                        poll id
-                      end
-                      else
-                        failf "hang: job %d never terminal (last: %s)" id
-                          (Serve.Wire.response_to_string r)
-                    | Error e -> failf "hang: STATUS %d: %s" id e
-                  in
-                  poll 0;
-                  poll 1;
-                  ignore
-                    (Serve.Client.request c Serve.Wire.Shutdown
-                      : (Serve.Wire.response, string) result)))));
+          match Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket with
+          | Error e -> failf "hang poll connect: %s" e
+          | Ok c ->
+            Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+                (match job_state c 0 with
+                | Some (Serve.Wire.Quarantined { crashes; reason; _ }) ->
+                  if crashes <> max_crashes then
+                    failf "hang: quarantined after %d crash(es), want %d"
+                      crashes max_crashes;
+                  if not (contains reason "crashed the server") then
+                    failf "hang: quarantined outside start-up: %s" reason
+                | _ -> failf "hang: job 0 not quarantined at start-up");
+                (match
+                   poll_until ~timeout_s:60.0 (fun () ->
+                       match job_state c 1 with
+                       | Some (Serve.Wire.Finished { failed; _ }) -> Some failed
+                       | _ -> None)
+                 with
+                | None -> failf "hang: normal job never finished"
+                | Some (Some m) -> failf "hang: normal job failed: %s" m
+                | Some None -> check_results "hang" ~state 1 (ref_job 0));
+                ignore
+                  (Serve.Client.request c Serve.Wire.Shutdown
+                    : (Serve.Wire.response, string) result));
+            (match wait_status ~timeout_s:30.0 !pid with
+            | Some (Unix.WEXITED 0) -> reaped := true
+            | Some _ ->
+              reaped := true;
+              failf "hang: server exited abnormally after SHUTDOWN"
+            | None -> failf "hang: server never exited after SHUTDOWN")));
   (* 4. worker-fault matrix: SIGSTOP, SIGKILL and OOM inside worker
-     processes of a worker-pool server — the crash vectors only true
-     preemption reclaims. A SIGSTOP'd worker must be forcibly killed
-     within stall-timeout + grace and its slot respawned; every fault is
-     crash-accounted into quarantine after exactly the (scaled-down)
-     budget; a clean job on the same server matches the in-process
-     reference byte for byte; and after DRAIN the server exits 0 with no
-     worker process left behind. *)
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
+     processes — the crash vectors only true preemption reclaims. A
+     SIGSTOP'd worker must be forcibly killed within stall-timeout + grace
+     and its slot respawned; every fault is crash-accounted into
+     quarantine after exactly the (scaled-down) budget; a clean job on the
+     same server matches the reference byte for byte; and after DRAIN the
+     server exits 0 with no worker process left behind. *)
   let clean_cases = [ nth 1; nth 2 ] in
-  (* in-process reference bytes for the clean job *)
-  let clean_ref =
-    with_serve_dir (fun dir ->
-        let socket = Filename.concat dir "sock" in
-        let state = Filename.concat dir "state" in
-        let pid = spawn_server ~socket ~state ~runners:1 () in
-        Fun.protect ~finally:(fun () -> kill_server pid)
-          (fun () ->
-            match
-              Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
-            with
-            | Error e ->
-              failf "worker-matrix reference connect: %s" e;
-              None
-            | Ok c ->
-              Fun.protect ~finally:(fun () -> Serve.Client.close c)
-                (fun () ->
-                  match
-                    Serve.Client.run_job c ~tenant:"chaos-worker"
-                      ~backend:"rustbrain" ~cases:(Some clean_cases)
-                      ~opts:(Some opts)
-                  with
-                  | Error e ->
-                    failf "worker-matrix reference job: %s" e;
-                    None
-                  | Ok ((_, _, failed), _) ->
-                    (match failed with
-                    | Some m -> failf "worker-matrix reference failed: %s" m
-                    | None -> ());
-                    let store =
-                      Serve.Store.open_dir ~scrub:false ~dir:state ()
-                    in
-                    Rb_util.Fsfile.read (Serve.Store.results_path store 0))))
-  in
   with_serve_dir (fun dir ->
       let socket = Filename.concat dir "sock" in
       let state = Filename.concat dir "state" in
@@ -2209,14 +2203,13 @@ let chaos_serve () =
         Printf.sprintf "%s=stop,%s=kill,%s=oom" (nth 0) (nth 3) (nth 4)
       in
       let pid =
-        spawn_chaos ~socket ~state ~runners:1 ~poison_spec ~mode:"workers"
+        spawn_server ~poison_spec ~mode:"fast" ~socket ~state ~runners:1 ()
       in
       let reaped = ref false in
       Fun.protect ~finally:(fun () -> if not !reaped then kill_server pid)
         (fun () ->
-          (* 4a. clean job first: worker-mode execution must be
-             byte-identical to the in-process reference, and HEALTH must
-             say so about the pool *)
+          (* 4a. clean job first: byte-identical to the reference, and
+             HEALTH must name its worker *)
           let health_pids = ref [] in
           (match
              Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
@@ -2240,9 +2233,7 @@ let chaos_serve () =
                       (List.length frames)
                       (List.length clean_cases));
                 (match Serve.Client.request c Serve.Wire.Health with
-                | Ok (Serve.Wire.Health { pool; worker_pids; _ }) ->
-                  if not (String.equal pool "workers") then
-                    failf "worker-matrix HEALTH pool: %s, want workers" pool;
+                | Ok (Serve.Wire.Health { worker_pids; _ }) ->
                   if worker_pids = [] then
                     failf "worker-matrix HEALTH: no worker pids";
                   health_pids := worker_pids
@@ -2250,17 +2241,7 @@ let chaos_serve () =
                   failf "worker-matrix HEALTH: unexpected %s"
                     (Serve.Wire.response_to_string r)
                 | Error e -> failf "worker-matrix HEALTH: %s" e)));
-          (let store = Serve.Store.open_dir ~scrub:false ~dir:state () in
-           match
-             (clean_ref, Rb_util.Fsfile.read (Serve.Store.results_path store 0))
-           with
-           | Some a, Some b when String.equal a b -> ()
-           | Some _, Some _ ->
-             failf
-               "worker-matrix: clean job results differ between worker and \
-                in-process modes"
-           | Some _, None -> failf "worker-matrix: clean job results missing"
-           | None, _ -> ());
+          check_results "worker-matrix" ~state 0 (ref_job 0);
           (* 4b. the matrix itself *)
           let outcome =
             Serve.Chaos.run_worker_matrix ~timeout_s:60.0 ~socket
@@ -2292,7 +2273,7 @@ let chaos_serve () =
                   | Serve.Chaos.Wf_stop | Serve.Chaos.Wf_kill -> "signal 9"
                   | Serve.Chaos.Wf_oom -> "exit 137"
                 in
-                if not (contains ~needle:expect s.Serve.Chaos.w_reason) then
+                if not (contains s.Serve.Chaos.w_reason expect) then
                   failf "worker-matrix %s: reason %S lacks %S" label
                     s.Serve.Chaos.w_reason expect;
                 (* the SIGSTOP rung is the bound the ladder guarantees:
@@ -2355,27 +2336,83 @@ let chaos_serve () =
           if Serve.Store.fsck_count `Torn report > 0 then
             failf "worker-matrix fsck: %d torn record(s)"
               (Serve.Store.fsck_count `Torn report)));
+  (* 5. spawn failure: a server whose workers cannot exec must stay up
+     with every slot down under backoff — never run a job in its own
+     process — and still admit jobs durably for a later start *)
+  with_serve_dir (fun dir ->
+      let socket = Filename.concat dir "sock" in
+      let state = Filename.concat dir "state" in
+      let pid =
+        spawn_server ~mode:"no-exec" ~socket ~state ~runners:2 ()
+      in
+      let reaped = ref false in
+      Fun.protect ~finally:(fun () -> if not !reaped then kill_server pid)
+        (fun () ->
+          match Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket with
+          | Error e -> failf "no-exec connect: %s" e
+          | Ok c ->
+            Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+                let all_down () =
+                  match Serve.Client.request c Serve.Wire.Health with
+                  | Ok (Serve.Wire.Health { slots; worker_pids = []; _ })
+                    when List.length slots = 2
+                         && List.for_all (fun (_, s) -> s = "down") slots ->
+                    Some ()
+                  | _ -> None
+                in
+                if poll_until ~timeout_s:10.0 all_down = None then
+                  failf "no-exec HEALTH: slots never all down";
+                (match
+                   Serve.Client.request c
+                     (Serve.Wire.Submit
+                        { tenant = "chaos"; backend = "rustbrain";
+                          cases = Some [ nth 1 ]; opts = Some opts })
+                 with
+                | Ok (Serve.Wire.Accepted { id = 0; _ }) -> (
+                  let store = Serve.Store.open_dir ~scrub:false ~dir:state () in
+                  (match Serve.Store.pending store with
+                  | [ s ] when s.Serve.Store.id = 0 -> ()
+                  | _ -> failf "no-exec: accepted job not durable");
+                  Unix.sleepf 0.5;
+                  match job_state c 0 with
+                  | Some (Serve.Wire.Queued _) -> ()
+                  | _ -> failf "no-exec: job 0 left the queue with no worker")
+                | Ok r ->
+                  failf "no-exec submit: unexpected %s"
+                    (Serve.Wire.response_to_string r)
+                | Error e -> failf "no-exec submit: %s" e);
+                if all_down () = None then
+                  failf "no-exec HEALTH: a slot came up without a worker";
+                ignore
+                  (Serve.Client.request c Serve.Wire.Shutdown
+                    : (Serve.Wire.response, string) result));
+            match wait_status ~timeout_s:30.0 pid with
+            | Some (Unix.WEXITED 0) -> reaped := true
+            | Some _ ->
+              reaped := true;
+              failf "no-exec: server exited abnormally after SHUTDOWN"
+            | None -> failf "no-exec: server never exited after SHUTDOWN"));
+  Option.iter (failf "%s") (leak_report ());
   if !failures > 0 then exit 1;
   Printf.printf
-    "chaos serve ok: %d seeded client faults survived, poison job \
-     quarantined after exactly %d crashes (exit and hang vectors), worker \
-     matrix (sigstop/sigkill/oom) reclaimed and quarantined after exactly \
-     %d crashes with no leaked processes, normal jobs byte-identical, \
-     drain exited clean, fsck clean\n"
-    12 max_crashes chaos_worker_max_crashes
-
-(* -- serve-bench (BENCH_serve.json, committed) -------------------------- *)
+    "chaos serve ok: %d seeded client faults survived, worker poison exit \
+     quarantined after exactly %d crashes with the server up, hung job \
+     quarantined at start-up after %d kill -9s with its worker dead each \
+     time, worker matrix (sigstop/sigkill/oom) reclaimed and quarantined \
+     after exactly %d crashes with no leaked processes, unspawnable workers \
+     left every slot down with admission durable, normal jobs \
+     byte-identical, drain exited clean, fsck clean\n"
+    12 max_crashes max_crashes chaos_worker_max_crashes
 
 (* -- procpool smoke (runtest gate) ------------------------------------- *)
 
-(* The byte-exactness contract of the worker pool: the same jobs, run once
-   through worker processes and once through in-process domains, must
-   produce byte-identical durable results files. Workers execute the same
-   Exec.Checkpoint campaigns against the same per-job journal layout, so
-   any divergence is a real bug in the dispatch/stream/persist path, not
-   noise. *)
+(* The byte-exactness contract of the worker pool: each results file a
+   worker process writes must equal the bytes of the same job run directly
+   in this process — Serve.Jobrun.execute against a fresh journal dir,
+   written by the same Store.write_results. Any divergence is a real bug
+   in the dispatch/stream/persist path, not noise. *)
 let procpool_smoke () =
-  section "Procpool smoke — worker-pool and in-process results byte-identical";
+  section "Procpool smoke — worker results byte-identical to a direct run";
   let failures = ref 0 in
   let failf fmt =
     Printf.ksprintf
@@ -2393,18 +2430,18 @@ let procpool_smoke () =
     [ List.filteri (fun i _ -> i < half) names;
       List.filteri (fun i _ -> i >= half) names ]
   in
-  let run_mode pool =
+  let served =
     with_serve_dir (fun dir ->
         let socket = Filename.concat dir "sock" in
         let state = Filename.concat dir "state" in
-        let pid = spawn_server ~pool ~socket ~state ~runners:2 () in
+        let pid = spawn_server ~socket ~state ~runners:2 () in
         Fun.protect ~finally:(fun () -> kill_server pid)
           (fun () ->
             match
               Serve.Client.connect ~retries:100 ~retry_delay_s:0.05 socket
             with
             | Error e ->
-              failf "%s connect: %s" pool e;
+              failf "connect: %s" e;
               []
             | Ok c ->
               Fun.protect ~finally:(fun () -> Serve.Client.close c)
@@ -2418,116 +2455,67 @@ let procpool_smoke () =
                             ~opts:(Some serve_smoke_opts)
                         with
                         | Error e ->
-                          failf "%s job %d: %s" pool i e;
+                          failf "job %d: %s" i e;
                           None
                         | Ok ((_, _, failed), frames) ->
                           (match failed with
-                          | Some m -> failf "%s job %d failed: %s" pool i m
+                          | Some m -> failf "job %d failed: %s" i m
                           | None -> ());
                           let want = List.length cases * 2 in
                           if List.length frames <> want then
-                            failf "%s job %d: %d CASE frame(s), want %d" pool
-                              i (List.length frames) want;
-                          let store =
-                            Serve.Store.open_dir ~scrub:false ~dir:state ()
-                          in
-                          Rb_util.Fsfile.read
-                            (Serve.Store.results_path store i))
+                            failf "job %d: %d CASE frame(s), want %d" i
+                              (List.length frames) want;
+                          results_bytes ~state i)
                       jobs
                   in
                   (match Serve.Client.request c Serve.Wire.Health with
-                  | Ok (Serve.Wire.Health { pool = got; worker_pids; _ }) ->
-                    if String.equal pool "workers" && worker_pids = [] then
-                      failf "workers HEALTH: no worker pids";
-                    if not (String.equal got pool) then
-                      failf "HEALTH pool: %s, want %s" got pool
+                  | Ok (Serve.Wire.Health { worker_pids; _ }) ->
+                    if worker_pids = [] then failf "HEALTH: no worker pids"
                   | Ok r ->
-                    failf "%s HEALTH: unexpected %s" pool
+                    failf "HEALTH: unexpected %s"
                       (Serve.Wire.response_to_string r)
-                  | Error e -> failf "%s HEALTH: %s" pool e);
+                  | Error e -> failf "HEALTH: %s" e);
                   ignore
                     (Serve.Client.request c Serve.Wire.Shutdown
                       : (Serve.Wire.response, string) result);
                   results)))
   in
-  let inproc = run_mode "in-process" in
-  let workers = run_mode "workers" in
-  List.iteri
-    (fun i (a, b) ->
-      match (a, b) with
-      | Some a, Some b when String.equal a b -> ()
-      | Some _, Some _ ->
-        failf "job %d: results differ between in-process and worker modes" i
-      | None, _ | _, None -> failf "job %d: results missing" i)
-    (List.combine inproc workers);
+  let direct i cases =
+    with_serve_dir (fun dir ->
+        match
+          Serve.Jobrun.execute ~backend:"rustbrain" ~case_names:cases
+            ~opts:serve_smoke_opts
+            ~label:(Printf.sprintf "serve/job-%06d" i)
+            ~journal_dir:(Filename.concat dir "journal") ~domains:None
+            ~before:ignore
+            ~cancel:(fun () -> false)
+            ~observe:(fun ~seq:_ ~case:_ ~seed:_ ~report_json:_ -> ())
+            ()
+        with
+        | Error e ->
+          failf "direct job %d: %s" i e;
+          None
+        | Ok o ->
+          let path = Filename.concat dir "results.jsonl" in
+          Serve.Store.write_results path o.Serve.Jobrun.reports;
+          Rb_util.Fsfile.read path)
+  in
+  if List.length served <> List.length jobs then failf "no served results"
+  else
+    List.iteri
+      (fun i (cases, got) ->
+        match (got, direct i cases) with
+        | Some a, Some b when String.equal a b -> ()
+        | Some _, Some _ ->
+          failf "job %d: worker results differ from the direct run" i
+        | None, _ | _, None -> failf "job %d: results missing" i)
+      (List.combine jobs served);
+  Option.iter (failf "%s") (leak_report ());
   if !failures > 0 then exit 1;
   Printf.printf
     "procpool smoke ok: %d job(s) (%d cases x %d seeds) byte-identical \
-     between worker and in-process pools\n"
+     between worker processes and a direct run\n"
     (List.length jobs) (List.length names) 2
-
-let serve_bench_file = "BENCH_serve.json"
-
-let serve_bench () =
-  section "Serve load — sustained multi-tenant throughput over the socket";
-  let run_mode pool =
-    with_serve_dir (fun dir ->
-        let socket = Filename.concat dir "sock" in
-        let state = Filename.concat dir "state" in
-        let runners = 4 in
-        let pid = spawn_server ~pool ~socket ~state ~runners () in
-        Fun.protect ~finally:(fun () -> kill_server pid)
-          (fun () ->
-            let cfg =
-              { Serve.Load.default_config with
-                Serve.Load.socket; tenants = 4; jobs_per_tenant = 8;
-                cases_per_job = 3 }
-            in
-            let o = Serve.Load.run cfg in
-            (match Serve.Client.connect ~retries:1 socket with
-            | Ok c ->
-              ignore
-                (Serve.Client.request c Serve.Wire.Shutdown
-                  : (Serve.Wire.response, string) result);
-              Serve.Client.close c
-            | Error _ -> ());
-            wait_exit pid;
-            if o.Serve.Load.errors > 0 then begin
-              Printf.eprintf "serve bench (%s): %d error(s)\n" pool
-                o.Serve.Load.errors;
-              exit 1
-            end;
-            Printf.printf
-              "%-10s %d/%d jobs (%d cases) in %.2fs — %.2f jobs/s, %.1f \
-               cases/s, busy %d\n"
-              pool o.Serve.Load.completed o.Serve.Load.submitted
-              o.Serve.Load.cases_done o.Serve.Load.wall_s
-              o.Serve.Load.jobs_per_s o.Serve.Load.cases_per_s
-              o.Serve.Load.busy;
-            (runners, cfg, o)))
-  in
-  let runners, cfg, inproc = run_mode "in-process" in
-  let _, _, workers = run_mode "workers" in
-  let json =
-    Rb_util.Json.to_string
-      (Rb_util.Json.Obj
-         [ ( "config",
-             Rb_util.Json.Obj
-               [ ("runners", Rb_util.Json.Num (float_of_int runners));
-                 ("tenants",
-                  Rb_util.Json.Num (float_of_int cfg.Serve.Load.tenants));
-                 ("jobs_per_tenant",
-                  Rb_util.Json.Num
-                    (float_of_int cfg.Serve.Load.jobs_per_tenant));
-                 ("cases_per_job",
-                  Rb_util.Json.Num
-                    (float_of_int cfg.Serve.Load.cases_per_job));
-                 ("backend", Rb_util.Json.Str cfg.Serve.Load.backend) ]);
-           ("outcome", Serve.Load.outcome_to_json inproc);
-           ("outcome_workers", Serve.Load.outcome_to_json workers) ])
-  in
-  Rb_util.Fsfile.write_atomic serve_bench_file (json ^ "\n");
-  Printf.printf "-> %s\n" serve_bench_file
 
 (* -- knn: retrieval-kernel latency (BENCH_knn.json) -------------------- *)
 
@@ -2882,16 +2870,14 @@ let experiments =
     ("bytecode-smoke", bytecode_smoke);
     ("trace-smoke", trace_smoke); ("obs-overhead", obs_overhead);
     ("serve-smoke", serve_smoke); ("chaos-serve", chaos_serve);
-    ("procpool-smoke", procpool_smoke); ("serve-bench", serve_bench);
+    ("procpool-smoke", procpool_smoke);
     ("knn", knn); ("kb-smoke", kb_smoke) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   match args with
-  | [ "serve-child"; socket; state; runners; pool ] ->
-    serve_child ~socket ~state ~runners:(int_of_string runners) ~pool
-  | [ "chaos-child"; socket; state; runners; poison_spec; mode ] ->
-    chaos_child ~socket ~state ~runners:(int_of_string runners) ~poison_spec
+  | [ "serve-child"; socket; state; runners; poison_spec; mode ] ->
+    serve_child ~socket ~state ~runners:(int_of_string runners) ~poison_spec
       ~mode
   | [ "worker-child" ] -> Serve.Procpool.worker_main ()
   | [ "kb-append-child"; dir ] -> (

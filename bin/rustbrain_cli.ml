@@ -812,9 +812,9 @@ let serve_cmd =
   let stall_timeout =
     Arg.(value & opt float 300.0 & info [ "stall-timeout" ] ~docv:"SECONDS"
            ~doc:"Watchdog: abort a running job that completes no case for \
-                 this long (cooperative at the next case boundary; a runner \
-                 hung inside a case is abandoned and the job requeued at \
-                 its journal frontier).")
+                 this long (cooperative at the next case boundary; a worker \
+                 hung inside a case is SIGTERMed, then SIGKILLed, and the \
+                 job requeued at its journal frontier).")
   in
   let job_timeout =
     Arg.(value & opt float 3600.0 & info [ "job-timeout" ] ~docv:"SECONDS"
@@ -827,20 +827,11 @@ let serve_cmd =
                  durable results file makes eviction safe: re-fetch with \
                  RESULTS.")
   in
-  let in_process =
-    Arg.(value & flag & info [ "in-process" ]
-           ~doc:"Run jobs on in-process runner domains instead of worker \
-                 processes. Cooperative aborts only: a runner hung inside a \
-                 case cannot be killed, only abandoned as a zombie. The \
-                 default worker pool gives the watchdog true preemption \
-                 (SIGTERM, then SIGKILL) and per-job OS resource caps.")
-  in
   let worker_mem_mb =
     Arg.(value & opt int 0 & info [ "worker-mem-mb" ] ~docv:"MIB"
            ~doc:"Address-space cap (RLIMIT_AS) per worker process, in MiB; \
                  a worker that exceeds it dies to the limit and the attempt \
-                 is crash-accounted. 0 (default) sets no cap. Ignored with \
-                 $(b,--in-process).")
+                 is crash-accounted. 0 (default) sets no cap.")
   in
   let kb_write =
     Arg.(value & flag & info [ "kb-write" ]
@@ -850,8 +841,7 @@ let serve_cmd =
                  this only where tenant jobs are serialized.")
   in
   let run socket state_dir runners max_queue quota weights max_crashes
-      stall_timeout job_timeout evict_idle in_process worker_mem_mb kb_write
-      opts =
+      stall_timeout job_timeout evict_idle worker_mem_mb kb_write opts =
     match
       match opts with
       | Error _ as e -> e
@@ -916,9 +906,6 @@ let serve_cmd =
             max_queue; quota; weights; default_opts;
             max_crashes; stall_timeout_s = stall_timeout;
             job_timeout_s = job_timeout; evict_idle_s = evict_idle;
-            worker_argv =
-              (if in_process then None
-               else Some [| Sys.executable_name; "__rb_worker" |]);
             worker_mem_mb;
             rng_seed = Exec.Campaign_opts.seed opts;
             kb_dir = opts.Exec.Campaign_opts.kb_dir;
@@ -953,7 +940,7 @@ let serve_cmd =
              a SHUTDOWN frame or after a DRAIN wind-down.")
     Term.(const run $ socket_arg $ state_dir $ runners $ max_queue $ quota
           $ weights $ max_crashes $ stall_timeout $ job_timeout $ evict_idle
-          $ in_process $ worker_mem_mb $ kb_write $ opts_term)
+          $ worker_mem_mb $ kb_write $ opts_term)
 
 (* -- serve-fsck ----------------------------------------------------------- *)
 
@@ -1201,22 +1188,19 @@ let serve_ctl_cmd =
           Printf.eprintf "serve-ctl: %s\n" e;
           1
         | Ok (Serve.Wire.Health { queued; running; quarantined; draining; slots;
-                                  pool; worker_pids; respawns; kills_term;
-                                  kills_kill; zombies })
+                                  worker_pids; respawns; kills_term;
+                                  kills_kill })
           ->
           Printf.printf "health: queued %d, running %d, quarantined %d%s\n"
             queued running quarantined
             (if draining then ", draining" else "");
-          Printf.printf "pool: %s%s\n" pool
-            (if worker_pids = [] then ""
+          Printf.printf "workers: %s\n"
+            (if worker_pids = [] then "none"
              else
-               Printf.sprintf " (pids %s)"
-                 (String.concat ", " (List.map string_of_int worker_pids)));
-          if respawns + kills_term + kills_kill + zombies > 0 then
-            Printf.printf
-              "supervision: %d respawned, %d SIGTERM, %d SIGKILL, %d zombie \
-               domain(s)\n"
-              respawns kills_term kills_kill zombies;
+               "pids " ^ String.concat ", " (List.map string_of_int worker_pids));
+          if respawns + kills_term + kills_kill > 0 then
+            Printf.printf "supervision: %d respawned, %d SIGTERM, %d SIGKILL\n"
+              respawns kills_term kills_kill;
           List.iter
             (fun (i, s) -> Printf.printf "  slot %d: %s\n" i s)
             slots;

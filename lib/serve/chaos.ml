@@ -195,10 +195,9 @@ let probe ?(timeout_s = 10.0) socket =
 
 (* -- worker-fault matrix ------------------------------------------------- *)
 
-(* Faults the in-process pool could never survive (or never reclaim): a
-   worker that SIGSTOPs itself is unsignallable except by SIGKILL, a
-   SIGKILLed worker flushes nothing, an OOM worker dies to a resource
-   limit. The property under test is the supervision ladder end to end:
+(* Faults only process isolation can reclaim: a worker that SIGSTOPs
+   itself is unsignallable except by SIGKILL, a SIGKILLed worker flushes
+   nothing, an OOM worker dies to a resource limit. The property under test is the supervision ladder end to end:
    the hung worker is forcibly killed within stall-timeout + grace, the
    slot respawns, every retry is crash-accounted, and the job lands in
    quarantine after exactly max_crashes attempts — with the server

@@ -8,9 +8,9 @@
     STATUS reply: the property under test is that a fault's blast radius
     is one connection, never the event loop.
 
-    In-process and deterministic by construction: the fault sequence and
-    every size/variant choice comes from {!Rb_util.Rng}, so a failing
-    seed is a repro, not an anecdote. *)
+    Runs in the caller's process and is deterministic by construction:
+    the fault sequence and every size/variant choice comes from
+    {!Rb_util.Rng}, so a failing seed is a repro, not an anecdote. *)
 
 type fault =
   | Split_write           (** valid frame, written in 1–3-byte dribbles *)

@@ -1,8 +1,8 @@
-(* The job-execution core shared by both runner isolation modes: the
-   in-process slot domain (graceful-degradation path) and the worker OS
-   process both run exactly this code against the same per-job journal
-   directory, which is what makes worker-mode and --in-process results
-   byte-identical — the procpool-smoke gate pins that property. *)
+(* The job-execution core a worker process runs for one job attempt,
+   against the server's per-job journal directory. Nothing in it knows
+   about processes or sockets, so the same call made directly in a test
+   process gives the bytes a worker must reproduce — the procpool-smoke
+   gate pins that property. *)
 
 type poison_mode =
   | Poison_exit   (* [Unix._exit]: the runner process dies mid-case *)

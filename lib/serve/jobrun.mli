@@ -1,18 +1,19 @@
-(** Job-execution core shared by both runner isolation modes.
+(** Job-execution core: one job attempt, as a worker process
+    ({!Procpool.worker_main}) runs it against the server's per-job
+    journal directory.
 
-    The in-process slot domain and the worker OS process ({!Procpool})
-    both run exactly this code against the same per-job journal
-    directory: resolve the backend, wrap each seeded scheduler job with
-    the case-boundary guard and the streaming observer, run under
+    Resolve the backend, wrap each seeded scheduler job with the
+    case-boundary guard and the streaming observer, run under
     {!Exec.Checkpoint} (resume at the journal frontier, recompute on a
     fingerprint mismatch), and stitch the reports in seed-major order.
-    That sharing is what makes worker-mode and [--in-process] results
-    byte-identical — the procpool-smoke gate pins the property. *)
+    Nothing here touches processes or sockets, so a direct call with a
+    fresh journal directory yields the bytes a worker's results file must
+    match — the procpool-smoke gate pins the property. *)
 
 (** Deterministic fault injection for the chaos harness: fires at every
-    case boundary inside the runner. The first three vectors exist in
-    both isolation modes; the last three are the worker-fault matrix —
-    in worker mode each kills only the worker process. *)
+    case boundary inside the worker. Each vector but [Poison_raise]
+    kills, stops or hangs only the worker process; the last three are
+    the worker-fault matrix. *)
 type poison_mode =
   | Poison_exit   (** [Unix._exit]: the runner process dies mid-case *)
   | Poison_hang   (** sleep forever: only the watchdog reclaims the slot *)

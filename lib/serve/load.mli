@@ -4,8 +4,9 @@
     connection and submitting jobs back to back; BUSY responses are
     honored by sleeping the server's advised retry-after and resubmitting,
     so a saturated server is exercised through its admission control
-    rather than around it. Produces the sustained jobs/sec and cases/sec
-    numbers committed in [BENCH_serve.json]. *)
+    rather than around it. Reports sustained jobs/sec and cases/sec
+    ([serve-load]); the committed serve throughput figures come from
+    the [benchmark/] harness. *)
 
 type config = {
   socket : string;

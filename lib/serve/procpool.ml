@@ -1,8 +1,8 @@
-(* Process-isolated runner pool. Each runner slot fork/execs a hidden
-   worker subcommand of the server's own binary and speaks the wire
-   framing over a socketpair dup2'd onto the worker's stdin. Unlike the
-   in-process domain path, a wedged worker can always be reclaimed: the
-   escalation ladder ends in SIGKILL, which no userspace state can block.
+(* Process-isolated runner pool, the only way the server runs a job. Each
+   runner slot fork/execs a hidden worker subcommand of the server's own
+   binary and speaks the wire framing over a socketpair dup2'd onto the
+   worker's stdin. A wedged worker can always be reclaimed: the escalation
+   ladder ends in SIGKILL, which no userspace state can block.
 
    One worker process runs one job attempt, then exits: rlimit budgets
    (RLIMIT_AS from --worker-mem-mb, RLIMIT_CPU from --job-timeout) are
@@ -13,6 +13,7 @@
 
 external set_mem_limit_mb : int -> bool = "rb_procpool_set_mem_limit_mb"
 external set_cpu_limit_s : int -> bool = "rb_procpool_set_cpu_limit_s"
+external set_parent_death_kill : unit -> bool = "rb_procpool_set_pdeathsig"
 
 (* -- protocol ----------------------------------------------------------- *)
 
@@ -218,15 +219,27 @@ let spawn ~argv ?(mem_mb = 0) ?(cpu_s = 0) () =
     | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "socketpair: %s" (Unix.error_message e))
     | sup_end, child_end -> (
-      match Unix.fork () with
-      | exception Unix.Unix_error (e, _, _) ->
+      let refused msg =
         (try Unix.close sup_end with Unix.Unix_error _ -> ());
         (try Unix.close child_end with Unix.Unix_error _ -> ());
-        Error (Printf.sprintf "fork: %s" (Unix.error_message e))
+        Error ("fork: " ^ msg)
+      in
+      let server = Unix.getpid () in
+      match Unix.fork () with
+      | exception Unix.Unix_error (e, _, _) -> refused (Unix.error_message e)
+      | exception Failure msg ->
+        (* OCaml 5 refuses to fork a process that has ever run a second
+           domain *)
+        refused msg
       | 0 ->
         (* child: the socketpair becomes stdin — a bidirectional control
            channel dup2 clears close-on-exec for. Rlimits go on before
-           exec so even a worker that fails to start is capped. *)
+           exec so even a worker that fails to start is capped. The
+           parent-death signal makes the worker die with a kill -9'd
+           server, which never reaches its reaping exit path; a worker
+           hung inside a case would never read the EOF that ends it
+           otherwise. The getppid check covers a server that died before
+           the prctl. *)
         (try
            (try Unix.close sup_end with Unix.Unix_error _ -> ());
            if child_end <> Unix.stdin then begin
@@ -235,6 +248,8 @@ let spawn ~argv ?(mem_mb = 0) ?(cpu_s = 0) () =
            end;
            if mem_mb > 0 then ignore (set_mem_limit_mb mem_mb);
            if cpu_s > 0 then ignore (set_cpu_limit_s cpu_s);
+           ignore (set_parent_death_kill ());
+           if Unix.getppid () <> server then Unix._exit 127;
            Unix.execv argv.(0) argv
          with _ -> ());
         Unix._exit 127
@@ -271,8 +286,9 @@ let send w msg =
 (* -- worker side -------------------------------------------------------- *)
 
 (* The worker process: Hello, one Job, stream cases, durable results,
-   Done, exit. EOF on the control channel means the supervisor is gone —
-   exit immediately so a dead server never strands orphan workers. *)
+   Done, exit. EOF on the control channel, seen at a case boundary, means
+   the supervisor is gone: exit. A worker hung inside a case never gets
+   there; the parent-death signal set in [spawn] ends it instead. *)
 let worker_main () =
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
@@ -367,14 +383,11 @@ let worker_main () =
         ~observe ()
     with Out_of_memory -> Error "out of memory"
   in
-  (* durable results before Done — the supervisor marks the job complete
-     on the frame, exactly like the in-process path writes before its
-     finished flag. Same emit path as [Store.write_results], so the bytes
-     match the in-process mode line for line. *)
+  (* durable results before Done: the supervisor marks the job complete
+     on the frame *)
   (match result with
   | Ok o ->
-    Rb_util.Fsfile.write_channel spec.results_path (fun oc ->
-        Rustbrain.Report.emit_jsonl oc (List.to_seq o.Jobrun.reports));
+    Store.write_results spec.results_path o.Jobrun.reports;
     let passed =
       List.length
         (List.filter
@@ -388,7 +401,7 @@ let worker_main () =
   | Error msg ->
     (* even a crashed job leaves durable (empty) results so RESULTS is
        well-defined *)
-    Rb_util.Fsfile.write_channel spec.results_path (fun _ -> ());
+    Store.write_results spec.results_path [];
     send_frame
       (Job_done { cases = 0; passed = 0; failed = Some msg; replayed = 0 }));
   Unix._exit 0

@@ -4,9 +4,11 @@
     server's own binary and speaks the length-prefixed {!Wire} framing
     over a socketpair dup2'd onto the worker's stdin. One worker process
     runs one job attempt, then exits: rlimit budgets are per-attempt by
-    construction and no state bleeds between jobs. Unlike the in-process
-    domain path, a wedged worker can always be reclaimed — the watchdog
-    escalation ends in SIGKILL, which no userspace state can block.
+    construction and no state bleeds between jobs. A wedged worker can
+    always be reclaimed — the watchdog escalation ends in SIGKILL, which
+    no userspace state can block — and on Linux a worker also dies with
+    its server (parent-death SIGKILL set before exec), so a [kill -9]'d
+    server strands no worker, hung or not.
 
     Protocol, all frames JSON over {!Wire.encode} framing:
     - worker → server: [Hello {pid}] handshake, [Heartbeat] liveness,
@@ -72,8 +74,11 @@ val spawn :
   (worker, string) result
 (** Fork/exec [argv] with the socketpair on its stdin. [mem_mb] > 0 caps
     RLIMIT_AS, [cpu_s] > 0 caps RLIMIT_CPU (both applied in the child
-    before exec). [Error] is the fork/socketpair failure message — the
-    caller decides whether to back off or fall back in-process. *)
+    before exec, with the parent-death signal). [Error] is the
+    fork/socketpair failure message, including OCaml 5's refusal to fork
+    a process that has ever run a second domain; no fd leaks on that
+    path. An argv that cannot exec is not an [Error]: the child exits
+    127 before its Hello. *)
 
 val send : worker -> to_worker -> bool
 (** Best-effort framed write, bounded at ~0.5s: control frames are tiny

@@ -1,8 +1,7 @@
 (* Deterministic fault injection for the chaos harness: the plan maps case
-   names to the fault fired at that case's boundary inside the runner —
-   the crash vectors the supervision layer must survive. Declarative (not
-   a closure) so it serializes into worker Job frames and injects the same
-   faults in both isolation modes. *)
+   names to the fault fired at that case's boundary inside the worker
+   process — the crash vectors the supervision layer must survive.
+   Declarative (not a closure) so it serializes into worker Job frames. *)
 type poison_mode = Jobrun.poison_mode =
   | Poison_exit
   | Poison_hang
@@ -28,7 +27,7 @@ type config = {
   out_limit : int;
   evict_idle_s : float;
   poison : (string * poison_mode) list;
-  worker_argv : string array option;
+  worker_argv : string array;
   worker_mem_mb : int;
   rng_seed : int;
   kb_dir : string option;
@@ -54,7 +53,7 @@ let default_config =
     out_limit = 8 * 1024 * 1024;
     evict_idle_s = 30.0;
     poison = [];
-    worker_argv = None;
+    worker_argv = [| Sys.executable_name; "__rb_worker" |];
     worker_mem_mb = 0;
     rng_seed = 0x5eed;
     kb_dir = None;
@@ -76,41 +75,6 @@ type summary = {
   evicted : int;     (** connections dropped for slow reading or overflow *)
 }
 
-(* -- job execution on an in-process runner-slot domain ------------------- *)
-
-(* What a finished slot hands back to the event loop. Reports are in job
-   (seed-major, case-minor) order — exactly the stitched order the durable
-   results file stores. *)
-type job_outcome = {
-  reports : Rustbrain.Report.t list;
-  job_failed : string option;
-  replayed : int;
-}
-
-type slot = {
-  sub : Store.submission;
-  total_cases : int;
-  started_at : float;
-  stream : (int * string * int * string) Queue.t;
-      (* seq, case name, seed, rendered report — filled by the runner
-         domain as cases complete, drained by the event loop *)
-  stream_mx : Mutex.t;
-  finished : bool Atomic.t;
-  cancel : bool Atomic.t;
-      (* watchdog -> runner: checked at every case boundary and before
-         every scheduler job claim; the cooperative half of the abort *)
-  mutable last_progress : float;
-      (* wall time the event loop last saw a case come off this slot *)
-  mutable abort_at : float;  (* when the watchdog fired; 0.0 = it has not *)
-  domain : (job_outcome, string) result Domain.t;
-}
-
-let slot_aborted s = s.abort_at > 0.0
-
-(* The slot domain runs the whole job through the shared {!Jobrun} core —
-   the same code a worker process runs, which is what keeps the two modes
-   byte-identical. Durable results are written here (before the loop marks
-   the job done); the event loop only does bookkeeping. *)
 (* Per-tenant slice of the shared knowledge store. Tenants never see each
    other's learned entries, and a read-only server skips a tenant whose
    slice does not exist yet (the job just runs KB-less) instead of failing
@@ -123,109 +87,42 @@ let tenant_kb (cfg : config) ~tenant =
     if cfg.kb_readonly && not (Sys.file_exists dir) then (None, cfg.kb_readonly)
     else (Some dir, cfg.kb_readonly)
 
-let start_job (cfg : config) store (sub : Store.submission) =
-  let stream = Queue.create () in
-  let stream_mx = Mutex.create () in
-  let finished = Atomic.make false in
-  let cancel = Atomic.make false in
-  let total_cases =
-    List.length sub.Store.cases
-    * List.length sub.Store.opts.Exec.Campaign_opts.seeds
-  in
-  (* case-boundary guard: poison injection (chaos harness) and the
-     watchdog's cooperative abort both live here, inside the runner
-     domain, so neither can fire mid-case *)
-  let before (case : Dataset.Case.t) =
-    (match List.assoc_opt case.Dataset.Case.name cfg.poison with
-    | Some m -> Jobrun.apply_poison m
-    | None -> ());
-    if Atomic.get cancel then raise (Exec.Runner.Aborted "watchdog abort")
-  in
-  let observe ~seq ~case ~seed ~report_json =
-    Mutex.protect stream_mx (fun () ->
-        Queue.add (seq, case, seed, report_json) stream)
-  in
-  let domain =
-    Domain.spawn (fun () ->
-        let result =
-          try
-            let kb_dir, kb_readonly = tenant_kb cfg ~tenant:sub.Store.tenant in
-            match
-              Jobrun.execute ~backend:sub.Store.backend
-                ~case_names:sub.Store.cases
-                ~opts:
-                  { sub.Store.opts with
-                    Exec.Campaign_opts.kb_dir; kb_readonly }
-                ~label:(Printf.sprintf "serve/job-%06d" sub.Store.id)
-                ~journal_dir:(Store.journal_dir store sub.Store.id)
-                ~domains:
-                  (match sub.Store.opts.Exec.Campaign_opts.domains with
-                  | Some _ as d -> d
-                  | None -> cfg.domains_per_job)
-                ~before
-                ~cancel:(fun () -> Atomic.get cancel)
-                ~observe ()
-            with
-            | Ok o ->
-              Store.write_results store sub.Store.id o.Jobrun.reports;
-              Ok
-                { reports = o.Jobrun.reports;
-                  job_failed = o.Jobrun.job_failed;
-                  replayed = o.Jobrun.replayed }
-            | Error e -> Error e
-          with e -> Error (Printexc.to_string e)
-        in
-        (* set last: once observed true, [Domain.join] returns promptly *)
-        Atomic.set finished true;
-        result)
-  in
-  let now = Unix.gettimeofday () in
-  { sub; total_cases; started_at = now; stream; stream_mx; finished; cancel;
-    last_progress = now; abort_at = 0.0; domain }
-
-let slot_finished s = Atomic.get s.finished
-
-(* -- worker-pool slots ---------------------------------------------------- *)
+(* -- worker slots -------------------------------------------------------- *)
 
 (* Per-attempt supervision state for a job running on a worker process. *)
-type wjob = {
-  wsub : Store.submission;
-  w_started_at : float;
-  mutable w_last_progress : float;
+type attempt = {
+  sub : Store.submission;
+  started_at : float;
+  mutable last_progress : float;
       (* last CASE frame or heartbeat seen from the worker *)
-  mutable w_abort_at : float;  (* when the watchdog fired; 0.0 = it has not *)
-  mutable w_termed : bool;     (* SIGTERM rung already climbed *)
-  mutable w_killed : bool;     (* SIGKILL rung already climbed *)
+  mutable abort_at : float;  (* when the watchdog fired; 0.0 = it has not *)
+  mutable termed : bool;     (* SIGTERM rung already climbed *)
+  mutable killed : bool;     (* SIGKILL rung already climbed *)
 }
 
-type wstate =
-  | W_down of { next_spawn_at : float }  (* no process; spawn when due *)
-  | W_starting of { w : Procpool.worker; since : float }  (* awaiting Hello *)
-  | W_ready of { w : Procpool.worker }
-  | W_busy of { w : Procpool.worker; job : wjob }
+(* Every slot is a supervised child process the watchdog can always
+   SIGKILL. A slot whose spawns keep failing stays [Down] under the
+   respawn backoff, and HEALTH says so; jobs wait durably in the queue. *)
+type slot_state =
+  | Down of { next_spawn_at : float }  (* no process; spawn when due *)
+  | Starting of { w : Procpool.worker; since : float }  (* awaiting Hello *)
+  | Ready of { w : Procpool.worker }
+  | Busy of { w : Procpool.worker; job : attempt }
 
-type wslot = {
-  mutable ws : wstate;
+type slot = {
+  mutable state : slot_state;
   mutable failures : int;
       (* consecutive deaths without a cleanly completed job: the respawn
          backoff exponent *)
 }
 
-(* Runner isolation mode. [Workers] is the production path: every slot is
-   a supervised child process the watchdog can always SIGKILL, so there is
-   no zombie list. [In_process] (--in-process, or automatic fallback when
-   spawning fails) keeps the domain path: cooperative aborts only, hung
-   domains abandoned as zombies. *)
-type pool =
-  | In_process
-  | Workers of wslot array
+let worker_of slot =
+  match slot.state with
+  | Down _ -> None
+  | Starting { w; _ } | Ready { w } | Busy { w; _ } -> Some w
 
-let worker_of ws =
-  match ws.ws with
-  | W_down _ -> None
-  | W_starting { w; _ } | W_ready { w } | W_busy { w; _ } -> Some w
-
-let wjob_of ws = match ws.ws with W_busy { job; _ } -> Some job | _ -> None
+let attempt_of slot =
+  match slot.state with Busy { job; _ } -> Some job | _ -> None
 
 (* -- connections -------------------------------------------------------- *)
 
@@ -247,25 +144,15 @@ type t = {
   queue : Store.submission Fairq.t;
   conns : (int, conn) Hashtbl.t;
   subscribers : (int, int) Hashtbl.t;  (* job id -> conn id *)
-  mutable pool : pool;
+  slots : slot array;
   rng : Rb_util.Rng.t;  (* respawn-backoff jitter; seeded, deterministic *)
   sigchld_w : Unix.file_descr;
       (* write end of the SIGCHLD self-pipe: the handler writes one byte,
          the select loop wakes and reaps *)
-  mutable slots : slot list;
-  mutable zombies : slot list;
-      (* in-process mode only: abandoned hung runner domains — OCaml
-         domains cannot be killed, so they are parked here and reaped
-         (joined) only once their finished flag flips. The worker pool
-         deleted this failure class: a hung worker is SIGKILLed. *)
   mutable shutting_down : bool;
   mutable draining : bool;
   mutable next_cid : int;
   mutable service_ewma_ms : float;  (* per-job wall service time estimate *)
-  mutable ever_ready : bool;
-      (* any worker ever completed the handshake; gates the automatic
-         in-process fallback *)
-  mutable spawn_fail_streak : int;
   mutable accepted : int;
   mutable completed : int;
   mutable failed : int;
@@ -321,12 +208,9 @@ let metric_observe t name v =
         v)
 
 let active_jobs t =
-  match t.pool with
-  | In_process -> List.length t.slots
-  | Workers ws ->
-    Array.fold_left
-      (fun n s -> match s.ws with W_busy _ -> n + 1 | _ -> n)
-      0 ws
+  Array.fold_left
+    (fun n s -> match s.state with Busy _ -> n + 1 | _ -> n)
+    0 t.slots
 
 (* Backpressure advice: how long a rejected client should wait before
    retrying. Scales with how much service time is queued ahead of it
@@ -340,28 +224,18 @@ let retry_after_ms t =
 let job_cost (sub : Store.submission) =
   List.length sub.cases * List.length sub.opts.seeds
 
-let running_ids t =
-  match t.pool with
-  | In_process -> List.map (fun s -> s.sub.Store.id) t.slots
-  | Workers ws ->
-    Array.to_list ws
-    |> List.filter_map (fun s ->
-           Option.map (fun j -> j.wsub.Store.id) (wjob_of s))
-
-let is_running t id = List.mem id (running_ids t)
+let is_running t id =
+  Array.exists
+    (fun s ->
+      match attempt_of s with Some j -> j.sub.Store.id = id | None -> false)
+    t.slots
 
 let worker_pids t =
-  match t.pool with
-  | In_process -> []
-  | Workers ws ->
-    Array.to_list ws
-    |> List.filter_map (fun s ->
-           match worker_of s with
-           | Some w when w.alive -> Some w.pid
-           | _ -> None)
-
-let pool_label t =
-  match t.pool with In_process -> "in-process" | Workers _ -> "workers"
+  Array.to_list t.slots
+  |> List.filter_map (fun s ->
+         match worker_of s with
+         | Some w when w.Procpool.alive -> Some w.Procpool.pid
+         | _ -> None)
 
 (* -- request handling ---------------------------------------------------- *)
 
@@ -574,33 +448,19 @@ let handle_results t conn id =
     send t conn (Wire.Error_msg (Printf.sprintf "unknown job id %d" id))
 
 let slot_states t =
-  match t.pool with
-  | In_process ->
-    let running =
-      List.mapi
-        (fun i s ->
-          ( i,
-            Printf.sprintf "%s job %d"
-              (if slot_aborted s then "hung" else "running")
-              s.sub.Store.id ))
-        t.slots
-    in
-    let n = List.length running in
-    running @ List.init (max 0 (t.cfg.runners - n)) (fun i -> (n + i, "idle"))
-  | Workers ws ->
-    Array.to_list
-      (Array.mapi
-         (fun i s ->
-           ( i,
-             match s.ws with
-             | W_down _ -> "down"
-             | W_starting _ -> "starting"
-             | W_ready _ -> "idle"
-             | W_busy { w; job } ->
-               Printf.sprintf "%s job %d (pid %d)"
-                 (if job.w_abort_at > 0.0 then "hung" else "running")
-                 job.wsub.Store.id w.pid ))
-         ws)
+  Array.to_list
+    (Array.mapi
+       (fun i s ->
+         ( i,
+           match s.state with
+           | Down _ -> "down"
+           | Starting _ -> "starting"
+           | Ready _ -> "idle"
+           | Busy { w; job } ->
+             Printf.sprintf "%s job %d (pid %d)"
+               (if job.abort_at > 0.0 then "hung" else "running")
+               job.sub.Store.id w.Procpool.pid ))
+       t.slots)
 
 let handle_request t conn = function
   | Wire.Submit { tenant; backend; cases; opts } ->
@@ -617,12 +477,10 @@ let handle_request t conn = function
            quarantined;
            draining = t.draining;
            slots = slot_states t;
-           pool = pool_label t;
            worker_pids = worker_pids t;
            respawns = t.respawns;
            kills_term = t.kills_term;
-           kills_kill = t.kills_kill;
-           zombies = List.length t.zombies })
+           kills_kill = t.kills_kill })
   | Wire.Drain ->
     t.draining <- true;
     trace_event t "serve-drain"
@@ -648,24 +506,6 @@ let subscriber_conn t id =
       | Some c when not c.closed -> Some c
       | _ -> None)
 
-let drain_stream t slot =
-  let items =
-    Mutex.protect slot.stream_mx (fun () ->
-        let xs = List.of_seq (Queue.to_seq slot.stream) in
-        Queue.clear slot.stream;
-        xs)
-  in
-  if items <> [] then slot.last_progress <- Unix.gettimeofday ();
-  match subscriber_conn t slot.sub.Store.id with
-  | None -> ()
-  | Some conn ->
-    List.iter
-      (fun (seq, case, seed, report_json) ->
-        metric_inc t "serve.cases.streamed";
-        send t conn
-          (Wire.Case { id = slot.sub.Store.id; seq; case; seed; report_json }))
-      items
-
 (* Durably mark the job poison and tell whoever is waiting. From here the
    job never runs again: excluded from pending/dispatch, its journal and
    crash record preserved under the state dir for triage. *)
@@ -687,10 +527,10 @@ let quarantine_job t (sub : Store.submission) ~reason ~backtrace =
            last_case = q.Store.last_case }));
   Hashtbl.remove t.subscribers id
 
-(* A job whose attempt ended in a crash (dead worker process, dead runner
-   domain, watchdog abandonment) either re-enters the queue — resuming at
-   its journal frontier, so completed cases are never redone — or, past
-   the crash budget, is quarantined as poison. *)
+(* A job whose attempt ended in a crash (dead worker process, watchdog
+   kill) either re-enters the queue — resuming at its journal frontier, so
+   completed cases are never redone — or, past the crash budget, is
+   quarantined as poison. *)
 let requeue_or_quarantine t (sub : Store.submission) ~reason ~backtrace =
   if Store.crash_count t.store sub.Store.id >= t.cfg.max_crashes then
     quarantine_job t sub ~reason ~backtrace
@@ -706,7 +546,7 @@ let requeue_or_quarantine t (sub : Store.submission) ~reason ~backtrace =
          ~cost:(job_cost sub) sub)
   end
 
-(* -- worker-pool supervision --------------------------------------------- *)
+(* -- worker supervision -------------------------------------------------- *)
 
 let close_worker_fd (w : Procpool.worker) =
   if w.Procpool.alive then begin
@@ -717,78 +557,54 @@ let close_worker_fd (w : Procpool.worker) =
 let kill_quiet pid signal =
   try Unix.kill pid signal with Unix.Unix_error _ -> ()
 
-let worker_down t wslot ~crashed =
-  if crashed then wslot.failures <- wslot.failures + 1;
-  wslot.ws <-
-    W_down
+let worker_down t slot ~crashed =
+  if crashed then slot.failures <- slot.failures + 1;
+  slot.state <-
+    Down
       { next_spawn_at =
-          (if wslot.failures = 0 then 0.0
+          (if slot.failures = 0 then 0.0
            else
              Unix.gettimeofday ()
-             +. Procpool.backoff_delay ~failures:wslot.failures t.rng) }
+             +. Procpool.backoff_delay ~failures:slot.failures t.rng) }
 
-(* Spawning never worked at all (no fork on this platform, bad argv,
-   exhausted pids): degrade to the in-process domain pool rather than
-   spin. Only before the first successful handshake — once workers have
-   ever run, chronic respawn failure stays supervised under backoff. *)
-let maybe_fallback t =
-  if (not t.ever_ready) && t.spawn_fail_streak >= 3 then
-    match t.pool with
-    | In_process -> ()
-    | Workers ws ->
-      Array.iter
-        (fun s ->
-          (match worker_of s with
-          | Some w ->
-            close_worker_fd w;
-            kill_quiet w.Procpool.pid Sys.sigkill
-          | None -> ());
-          s.ws <- W_down { next_spawn_at = infinity })
-        ws;
-      t.pool <- In_process;
-      metric_inc t "serve.pool.fallback";
-      trace_event t "serve-pool-fallback" [];
-      prerr_endline
-        "serve: worker spawning keeps failing; falling back to in-process runners"
+(* A spawn that fails (no fork, exhausted pids or fds) leaves the slot down
+   under the same backoff as a worker that dies; one that cannot exec dies
+   with exit 127 before Hello and takes the same path from the reap. *)
+let spawn_worker t slot =
+  (* RLIMIT_CPU from the job wall ceiling: per attempt, since a worker
+     runs exactly one job. Skipped for effectively-unbounded budgets. *)
+  let cpu_s =
+    if t.cfg.job_timeout_s > 0.0 && t.cfg.job_timeout_s <= 86400.0 then
+      int_of_float (Float.ceil t.cfg.job_timeout_s) + 5
+    else 0
+  in
+  match
+    Procpool.spawn ~argv:t.cfg.worker_argv ~mem_mb:t.cfg.worker_mem_mb ~cpu_s ()
+  with
+  | Ok w ->
+    if slot.failures > 0 then begin
+      t.respawns <- t.respawns + 1;
+      metric_inc t "serve.workers.respawned"
+    end;
+    metric_inc t "serve.workers.spawned";
+    slot.state <- Starting { w; since = Unix.gettimeofday () }
+  | Error e ->
+    trace_event t "serve-worker-spawn-failed" [ ("err", Obs.Trace.S e) ];
+    worker_down t slot ~crashed:true
 
-let spawn_worker t wslot =
-  match t.cfg.worker_argv with
-  | None -> ()
-  | Some argv -> (
-    (* RLIMIT_CPU from the job wall ceiling: per attempt, since a worker
-       runs exactly one job. Skipped for effectively-unbounded budgets. *)
-    let cpu_s =
-      if t.cfg.job_timeout_s > 0.0 && t.cfg.job_timeout_s <= 86400.0 then
-        int_of_float (Float.ceil t.cfg.job_timeout_s) + 5
-      else 0
-    in
-    match Procpool.spawn ~argv ~mem_mb:t.cfg.worker_mem_mb ~cpu_s () with
-    | Ok w ->
-      if wslot.failures > 0 then begin
-        t.respawns <- t.respawns + 1;
-        metric_inc t "serve.workers.respawned"
-      end;
-      metric_inc t "serve.workers.spawned";
-      wslot.ws <- W_starting { w; since = Unix.gettimeofday () }
-    | Error e ->
-      if not t.ever_ready then t.spawn_fail_streak <- t.spawn_fail_streak + 1;
-      trace_event t "serve-worker-spawn-failed" [ ("err", Obs.Trace.S e) ];
-      worker_down t wslot ~crashed:true;
-      maybe_fallback t)
-
-let finish_worker_job t (job : wjob) ~cases ~passed ~failed ~replayed =
-  let id = job.wsub.Store.id in
-  if job.w_abort_at > 0.0 && failed <> None then
+let finish_job t (job : attempt) ~cases ~passed ~failed ~replayed =
+  let id = job.sub.Store.id in
+  if job.abort_at > 0.0 && failed <> None then
     (* the cooperative abort landed at a case boundary: the journal holds
        every completed case, the attempt itself was a watchdog kill *)
-    requeue_or_quarantine t job.wsub ~reason:"aborted by watchdog"
+    requeue_or_quarantine t job.sub ~reason:"aborted by watchdog"
       ~backtrace:""
   else begin
-    let service_ms = (Unix.gettimeofday () -. job.w_started_at) *. 1000.0 in
+    let service_ms = (Unix.gettimeofday () -. job.started_at) *. 1000.0 in
     t.service_ewma_ms <- (0.7 *. t.service_ewma_ms) +. (0.3 *. service_ms);
     metric_observe t "serve.service_ms" service_ms;
     metric_observe t
-      (Printf.sprintf "serve.service_ms.%s" job.wsub.Store.tenant)
+      (Printf.sprintf "serve.service_ms.%s" job.sub.Store.tenant)
       service_ms;
     if replayed > 0 then metric_inc t "serve.jobs.resumed";
     (* the worker wrote the durable results file before sending Done *)
@@ -812,46 +628,42 @@ let finish_worker_job t (job : wjob) ~cases ~passed ~failed ~replayed =
     Hashtbl.remove t.subscribers id
   end
 
-let handle_worker_msg t wslot msg =
+let handle_worker_msg t slot msg =
   let now = Unix.gettimeofday () in
   match (msg : Procpool.to_server) with
   | Procpool.Hello _ -> (
-    match wslot.ws with
-    | W_starting { w; _ } ->
-      wslot.ws <- W_ready { w };
-      t.ever_ready <- true;
-      t.spawn_fail_streak <- 0
+    match slot.state with
+    | Starting { w; _ } -> slot.state <- Ready { w }
     | _ -> ())
   | Procpool.Heartbeat -> (
-    match wslot.ws with
-    | W_busy { job; _ } -> job.w_last_progress <- now
+    match slot.state with
+    | Busy { job; _ } -> job.last_progress <- now
     | _ -> ())
   | Procpool.Case_done { seq; case; seed; report_json } -> (
-    match wslot.ws with
-    | W_busy { job; _ } -> (
-      job.w_last_progress <- now;
-      match subscriber_conn t job.wsub.Store.id with
+    match slot.state with
+    | Busy { job; _ } -> (
+      job.last_progress <- now;
+      match subscriber_conn t job.sub.Store.id with
       | None -> ()
       | Some conn ->
         metric_inc t "serve.cases.streamed";
         send t conn
-          (Wire.Case
-             { id = job.wsub.Store.id; seq; case; seed; report_json }))
+          (Wire.Case { id = job.sub.Store.id; seq; case; seed; report_json }))
     | _ -> ())
   | Procpool.Job_done { cases; passed; failed; replayed } -> (
-    match wslot.ws with
-    | W_busy { w; job } ->
+    match slot.state with
+    | Busy { w; job } ->
       (* one worker process per job attempt: the worker exits after Done
          and a fresh process (fresh rlimit budget, no state bleed)
          replaces it immediately *)
       close_worker_fd w;
-      wslot.failures <- 0;
-      worker_down t wslot ~crashed:false;
-      finish_worker_job t job ~cases ~passed ~failed ~replayed
+      slot.failures <- 0;
+      worker_down t slot ~crashed:false;
+      finish_job t job ~cases ~passed ~failed ~replayed
     | _ -> ())
 
-let read_worker t wslot =
-  match worker_of wslot with
+let read_worker t slot =
+  match worker_of slot with
   | None -> ()
   | Some w when not w.Procpool.alive -> ()
   | Some w ->
@@ -872,7 +684,7 @@ let read_worker t wslot =
           List.iter
             (fun payload ->
               match Procpool.to_server_of_string payload with
-              | Ok m -> handle_worker_msg t wslot m
+              | Ok m -> handle_worker_msg t slot m
               | Error _ -> ())
             frames;
           if w.Procpool.alive then go ())
@@ -906,57 +718,44 @@ let describe_status = function
   | Unix.WSIGNALED s -> Printf.sprintf "signal %d" (os_signal s)
   | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" (os_signal s)
 
-let handle_worker_death t ws pid status =
+let handle_worker_death t pid status =
   Array.iter
-    (fun wslot ->
-      match worker_of wslot with
+    (fun slot ->
+      match worker_of slot with
       | Some w when w.Procpool.pid = pid -> (
         (* drain frames the worker flushed before dying — CASE frames, or
            a Job_done racing its own exit (then the slot is already
            recycled below and this death is routine) *)
-        if w.Procpool.alive then read_worker t wslot;
-        match wslot.ws with
-        | W_busy { w; job } ->
+        if w.Procpool.alive then read_worker t slot;
+        let died event attrs =
+          close_worker_fd w;
+          worker_down t slot ~crashed:true;
+          trace_event t event
+            (attrs
+            @ [ ("pid", Obs.Trace.I pid);
+                ("status", Obs.Trace.S (describe_status status)) ])
+        in
+        match slot.state with
+        | Busy { job; _ } ->
           (* died without Job_done: a crashed attempt. SIGKILLed, OOM
              (rlimit), poison exit — all count toward quarantine. *)
-          close_worker_fd w;
-          worker_down t wslot ~crashed:true;
           metric_inc t "serve.runner_crashes";
-          trace_event t "serve-worker-crash"
-            [ ("id", Obs.Trace.I job.wsub.Store.id);
-              ("pid", Obs.Trace.I pid);
-              ("status", Obs.Trace.S (describe_status status)) ];
-          requeue_or_quarantine t job.wsub
+          died "serve-worker-crash" [ ("id", Obs.Trace.I job.sub.Store.id) ];
+          requeue_or_quarantine t job.sub
             ~reason:
               (Printf.sprintf "worker pid %d died (%s)%s" pid
                  (describe_status status)
-                 (if job.w_killed then " after watchdog SIGKILL"
-                  else if job.w_termed then " after watchdog SIGTERM"
+                 (if job.killed then " after watchdog SIGKILL"
+                  else if job.termed then " after watchdog SIGTERM"
                   else ""))
             ~backtrace:""
-        | W_starting _ ->
+        | Starting _ ->
           (* died before Hello: exec failure (exit 127) or early crash *)
-          if not t.ever_ready then
-            t.spawn_fail_streak <- t.spawn_fail_streak + 1;
-          (match worker_of wslot with
-          | Some w -> close_worker_fd w
-          | None -> ());
-          worker_down t wslot ~crashed:true;
-          trace_event t "serve-worker-died-early"
-            [ ("pid", Obs.Trace.I pid);
-              ("status", Obs.Trace.S (describe_status status)) ];
-          maybe_fallback t
-        | W_ready _ ->
-          (match worker_of wslot with
-          | Some w -> close_worker_fd w
-          | None -> ());
-          worker_down t wslot ~crashed:true;
-          trace_event t "serve-worker-died-idle"
-            [ ("pid", Obs.Trace.I pid);
-              ("status", Obs.Trace.S (describe_status status)) ]
-        | W_down _ -> () (* recycled after Job_done: routine *))
+          died "serve-worker-died-early" []
+        | Ready _ -> died "serve-worker-died-idle" []
+        | Down _ -> () (* recycled after Job_done: routine *))
       | _ -> ())
-    ws
+    t.slots
 
 (* Reap every dead child (SIGCHLD self-pipe wakes the loop; this also runs
    each tick as a belt-and-braces sweep) and turn worker deaths into slot
@@ -966,9 +765,7 @@ let reap_children t =
     match Unix.waitpid [ Unix.WNOHANG ] (-1) with
     | 0, _ -> ()
     | pid, status ->
-      (match t.pool with
-      | Workers ws -> handle_worker_death t ws pid status
-      | In_process -> ());
+      handle_worker_death t pid status;
       go ()
     | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
@@ -976,21 +773,20 @@ let reap_children t =
   in
   go ()
 
-let find_ready ws =
-  let found = ref None in
-  Array.iter
-    (fun s ->
-      match !found with
-      | Some _ -> ()
-      | None -> ( match s.ws with W_ready { w } -> found := Some (s, w) | _ -> ()))
-    ws;
-  !found
+let find_ready t =
+  Array.fold_left
+    (fun found s ->
+      match (found, s.state) with
+      | None, Ready { w } -> Some (s, w)
+      | _ -> found)
+    None t.slots
 
 let dispatch t =
-  (match t.pool with
-  | In_process ->
-    let continue = ref true in
-    while !continue && List.length t.slots < t.cfg.runners do
+  let continue = ref true in
+  while !continue do
+    match find_ready t with
+    | None -> continue := false
+    | Some (slot, w) -> (
       match Fairq.next t.queue with
       | None -> continue := false
       | Some (_tenant, sub) -> (
@@ -999,7 +795,7 @@ let dispatch t =
           if Store.crash_count t.store sub.Store.id >= t.cfg.max_crashes then
             (* the crash budget can be exhausted while the job sits queued —
                e.g. counted across whole-server kills — never hand it to
-               another runner *)
+               another worker *)
             quarantine_job t sub
               ~reason:
                 (Printf.sprintf "crashed its runner %d times"
@@ -1009,323 +805,154 @@ let dispatch t =
             trace_event t "serve-dispatch"
               [ ("id", Obs.Trace.I sub.Store.id);
                 ("tenant", Obs.Trace.S sub.Store.tenant) ];
-            (* durable before the spawn: if this attempt dies with the whole
-               process, the next start still counts it *)
+            (* durable before the dispatch: if this attempt dies with its
+               worker or with the whole server, the next start counts it *)
             Store.begin_attempt t.store sub.Store.id;
-            t.slots <- t.slots @ [ start_job t.cfg t.store sub ]
-          end
-        | _ -> () (* cancelled while queued: drained, never started *))
-    done
-  | Workers ws ->
-    let continue = ref true in
-    while !continue do
-      match find_ready ws with
-      | None -> continue := false
-      | Some (wslot, w) -> (
-        match Fairq.next t.queue with
-        | None -> continue := false
-        | Some (_tenant, sub) -> (
-          match Store.status t.store sub.Store.id with
-          | Some Store.Queued ->
-            if Store.crash_count t.store sub.Store.id >= t.cfg.max_crashes
-            then
-              quarantine_job t sub
-                ~reason:
-                  (Printf.sprintf "crashed its runner %d times"
-                     (Store.crash_count t.store sub.Store.id))
-                ~backtrace:""
-            else begin
-              trace_event t "serve-dispatch"
-                [ ("id", Obs.Trace.I sub.Store.id);
-                  ("tenant", Obs.Trace.S sub.Store.tenant) ];
-              (* durable before the dispatch: if this attempt dies with
-                 its worker, the next requeue still counts it *)
-              Store.begin_attempt t.store sub.Store.id;
-              let kb_dir, kb_readonly =
-                tenant_kb t.cfg ~tenant:sub.Store.tenant
-              in
-              let spec =
-                { Procpool.id = sub.Store.id;
-                  backend = sub.Store.backend;
-                  cases = sub.Store.cases;
-                  opts = sub.Store.opts;
-                  journal_dir = Store.journal_dir t.store sub.Store.id;
-                  results_path = Store.results_path t.store sub.Store.id;
-                  domains =
-                    (match sub.Store.opts.Exec.Campaign_opts.domains with
-                    | Some _ as d -> d
-                    | None -> t.cfg.domains_per_job);
-                  poison = t.cfg.poison;
-                  kb_dir; kb_readonly }
-              in
-              if Procpool.send w (Procpool.Job spec) then begin
-                let now = Unix.gettimeofday () in
-                wslot.ws <-
-                  W_busy
-                    { w;
-                      job =
-                        { wsub = sub; w_started_at = now;
-                          w_last_progress = now; w_abort_at = 0.0;
-                          w_termed = false; w_killed = false } }
-              end
-              else begin
-                (* the worker would not take the frame: not a job crash —
-                   undo the attempt, requeue the job, replace the worker *)
-                Store.end_attempt t.store sub.Store.id;
-                ignore
-                  (Fairq.admit ~force:true t.queue ~tenant:sub.Store.tenant
-                     ~cost:(job_cost sub) sub);
-                close_worker_fd w;
-                kill_quiet w.Procpool.pid Sys.sigkill;
-                worker_down t wslot ~crashed:true
-              end
+            let kb_dir, kb_readonly =
+              tenant_kb t.cfg ~tenant:sub.Store.tenant
+            in
+            let spec =
+              { Procpool.id = sub.Store.id;
+                backend = sub.Store.backend;
+                cases = sub.Store.cases;
+                opts = sub.Store.opts;
+                journal_dir = Store.journal_dir t.store sub.Store.id;
+                results_path = Store.results_path t.store sub.Store.id;
+                domains =
+                  (match sub.Store.opts.Exec.Campaign_opts.domains with
+                  | Some _ as d -> d
+                  | None -> t.cfg.domains_per_job);
+                poison = t.cfg.poison;
+                kb_dir; kb_readonly }
+            in
+            if Procpool.send w (Procpool.Job spec) then begin
+              let now = Unix.gettimeofday () in
+              slot.state <-
+                Busy
+                  { w;
+                    job =
+                      { sub; started_at = now; last_progress = now;
+                        abort_at = 0.0; termed = false; killed = false } }
             end
-          | _ -> ()))
-    done);
+            else begin
+              (* the worker would not take the frame: not a job crash —
+                 undo the attempt, requeue the job, replace the worker *)
+              Store.end_attempt t.store sub.Store.id;
+              ignore
+                (Fairq.admit ~force:true t.queue ~tenant:sub.Store.tenant
+                   ~cost:(job_cost sub) sub);
+              close_worker_fd w;
+              kill_quiet w.Procpool.pid Sys.sigkill;
+              worker_down t slot ~crashed:true
+            end
+          end
+        | _ -> () (* cancelled while queued: drained, never started *)))
+  done;
   metric_gauge t "serve.queue_depth" (float_of_int (Fairq.depth t.queue));
   metric_gauge t "serve.active" (float_of_int (active_jobs t))
 
-(* Worker watchdog and lifecycle pass, once per tick. Escalation ladder on
-   a stalled or over-budget job: cooperative Cancel frame at t0, SIGTERM
-   at t0 + grace/2, SIGKILL at t0 + grace — so a SIGSTOP'd or hard-hung
+(* Watchdog and lifecycle pass, once per tick. Escalation ladder on a
+   stalled or over-budget job: cooperative Cancel frame at t0, SIGTERM at
+   t0 + grace/2, SIGKILL at t0 + grace — so a SIGSTOP'd or hard-hung
    worker is gone within stall_timeout + grace, the bound the chaos
    worker-fault matrix asserts. *)
 let poll_workers t =
-  match t.pool with
-  | In_process -> ()
-  | Workers ws ->
-    let now = Unix.gettimeofday () in
-    Array.iter
-      (fun wslot ->
-        match wslot.ws with
-        | W_busy { w; job } ->
-          if job.w_abort_at = 0.0 then begin
-            let stalled = now -. job.w_last_progress > t.cfg.stall_timeout_s in
-            let over = now -. job.w_started_at > t.cfg.job_timeout_s in
-            if stalled || over then begin
-              job.w_abort_at <- now;
-              metric_inc t "serve.watchdog.fired";
-              trace_event t "serve-watchdog"
-                [ ("id", Obs.Trace.I job.wsub.Store.id);
-                  ( "why",
-                    Obs.Trace.S (if stalled then "stalled" else "over-budget")
-                  ) ];
-              ignore (Procpool.send w Procpool.Cancel)
-            end
+  let now = Unix.gettimeofday () in
+  Array.iter
+    (fun slot ->
+      match slot.state with
+      | Busy { w; job } ->
+        if job.abort_at = 0.0 then begin
+          let stalled = now -. job.last_progress > t.cfg.stall_timeout_s in
+          let over = now -. job.started_at > t.cfg.job_timeout_s in
+          if stalled || over then begin
+            job.abort_at <- now;
+            metric_inc t "serve.watchdog.fired";
+            trace_event t "serve-watchdog"
+              [ ("id", Obs.Trace.I job.sub.Store.id);
+                ( "why",
+                  Obs.Trace.S (if stalled then "stalled" else "over-budget") )
+              ];
+            ignore (Procpool.send w Procpool.Cancel)
           end
-          else begin
-            let dt = now -. job.w_abort_at in
-            if (not job.w_termed) && dt > 0.5 *. t.cfg.abandon_grace_s then begin
-              job.w_termed <- true;
-              t.kills_term <- t.kills_term + 1;
-              metric_inc t "serve.workers.sigterm";
-              trace_event t "serve-worker-term"
-                [ ("id", Obs.Trace.I job.wsub.Store.id);
-                  ("pid", Obs.Trace.I w.Procpool.pid) ];
-              kill_quiet w.Procpool.pid Sys.sigterm
-            end;
-            if (not job.w_killed) && dt > t.cfg.abandon_grace_s then begin
-              job.w_killed <- true;
-              t.kills_kill <- t.kills_kill + 1;
-              metric_inc t "serve.workers.sigkill";
-              trace_event t "serve-worker-kill"
-                [ ("id", Obs.Trace.I job.wsub.Store.id);
-                  ("pid", Obs.Trace.I w.Procpool.pid) ];
-              kill_quiet w.Procpool.pid Sys.sigkill
-            end
+        end
+        else begin
+          let dt = now -. job.abort_at in
+          if (not job.termed) && dt > 0.5 *. t.cfg.abandon_grace_s then begin
+            job.termed <- true;
+            t.kills_term <- t.kills_term + 1;
+            metric_inc t "serve.workers.sigterm";
+            trace_event t "serve-worker-term"
+              [ ("id", Obs.Trace.I job.sub.Store.id);
+                ("pid", Obs.Trace.I w.Procpool.pid) ];
+            kill_quiet w.Procpool.pid Sys.sigterm
+          end;
+          if (not job.killed) && dt > t.cfg.abandon_grace_s then begin
+            job.killed <- true;
+            t.kills_kill <- t.kills_kill + 1;
+            metric_inc t "serve.workers.sigkill";
+            trace_event t "serve-worker-kill"
+              [ ("id", Obs.Trace.I job.sub.Store.id);
+                ("pid", Obs.Trace.I w.Procpool.pid) ];
+            kill_quiet w.Procpool.pid Sys.sigkill
           end
-        | W_starting { w; since } ->
-          (* a worker that never says Hello is as hung as one that never
-             finishes a case; the reap restarts it under backoff *)
-          if now -. since > 10.0 then kill_quiet w.Procpool.pid Sys.sigkill
-        | W_down { next_spawn_at } ->
-          let wanted =
-            (not t.shutting_down)
-            && not
-                 (t.draining
-                 && Fairq.depth t.queue = 0
-                 && active_jobs t = 0)
-          in
-          if wanted && now >= next_spawn_at then spawn_worker t wslot
-        | W_ready _ -> ())
-      ws
+        end
+      | Starting { w; since } ->
+        (* a worker that never says Hello is as hung as one that never
+           finishes a case; the reap restarts it under backoff *)
+        if now -. since > 10.0 then kill_quiet w.Procpool.pid Sys.sigkill
+      | Down { next_spawn_at } ->
+        let wanted =
+          (not t.shutting_down)
+          && not
+               (t.draining && Fairq.depth t.queue = 0 && active_jobs t = 0)
+        in
+        if wanted && now >= next_spawn_at then spawn_worker t slot
+      | Ready _ -> ())
+    t.slots
 
 (* Exit-path cleanup: close every control channel (EOF alone makes an idle
    worker exit), SIGTERM, give stragglers a short grace, SIGKILL the rest,
    and reap them all — the no-leaked-children half of the drain contract. *)
-let shutdown_pool t =
-  match t.pool with
-  | In_process -> ()
-  | Workers ws ->
-    let live =
-      Array.to_list ws
-      |> List.filter_map (fun s ->
-             match worker_of s with
-             | Some w ->
-               close_worker_fd w;
-               kill_quiet w.Procpool.pid Sys.sigterm;
-               Some w.Procpool.pid
-             | None -> None)
-    in
-    Array.iter (fun s -> s.ws <- W_down { next_spawn_at = infinity }) ws;
-    let deadline = Unix.gettimeofday () +. 2.0 in
-    let rec reap_all pending =
-      if pending <> [] then begin
-        let still =
-          List.filter
-            (fun pid ->
-              match Unix.waitpid [ Unix.WNOHANG ] pid with
-              | 0, _ -> true
-              | _ -> false
-              | exception Unix.Unix_error _ -> false)
-            pending
-        in
-        if still <> [] then
-          if Unix.gettimeofday () > deadline then
-            List.iter
-              (fun pid ->
-                kill_quiet pid Sys.sigkill;
-                try ignore (Rb_util.Retry.on_eintr (fun () -> Unix.waitpid [] pid))
-                with Unix.Unix_error _ -> ())
-              still
-          else begin
-            Unix.sleepf 0.02;
-            reap_all still
-          end
-      end
-    in
-    reap_all live
-
-let finalize_slot t slot =
-  (* a slot domain that died hard (its own catch-all never ran: stack
-     overflow, OOM) surfaces here as a join exception — a crashed runner,
-     not a server crash: the slot is restarted by requeue and the crash
-     counts toward the job's quarantine budget *)
-  let outcome =
-    match Domain.join slot.domain with
-    | r -> `Joined r
-    | exception e -> `Crashed (Printexc.to_string e)
+let shutdown_workers t =
+  let live =
+    Array.to_list t.slots
+    |> List.filter_map (fun s ->
+           match worker_of s with
+           | Some w ->
+             close_worker_fd w;
+             kill_quiet w.Procpool.pid Sys.sigterm;
+             Some w.Procpool.pid
+           | None -> None)
   in
-  let watchdog_kill =
-    slot_aborted slot
-    &&
-    match outcome with
-    | `Joined (Ok o) -> o.job_failed <> None
-    | `Joined (Error _) | `Crashed _ -> true
-  in
-  match outcome with
-  | `Crashed msg ->
-    metric_inc t "serve.runner_crashes";
-    trace_event t "serve-runner-crash"
-      [ ("id", Obs.Trace.I slot.sub.Store.id); ("exn", Obs.Trace.S msg) ];
-    requeue_or_quarantine t slot.sub
-      ~reason:(Printf.sprintf "runner domain died: %s" msg)
-      ~backtrace:msg
-  | `Joined _ when watchdog_kill ->
-    (* the cooperative abort landed at a case boundary: the journal holds
-       every completed case, the attempt itself was a watchdog kill *)
-    requeue_or_quarantine t slot.sub ~reason:"aborted by watchdog"
-      ~backtrace:""
-  | `Joined outcome ->
-  let service_ms = (Unix.gettimeofday () -. slot.started_at) *. 1000.0 in
-  t.service_ewma_ms <- (0.7 *. t.service_ewma_ms) +. (0.3 *. service_ms);
-  metric_observe t "serve.service_ms" service_ms;
-  metric_observe t
-    (Printf.sprintf "serve.service_ms.%s" slot.sub.Store.tenant)
-    service_ms;
-  let id = slot.sub.Store.id in
-  let completion =
-    match outcome with
-    | Ok o ->
-      let passed =
-        List.length
-          (List.filter (fun (r : Rustbrain.Report.t) -> r.Rustbrain.Report.passed) o.reports)
+  Array.iter (fun s -> s.state <- Down { next_spawn_at = infinity }) t.slots;
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec reap_all pending =
+    if pending <> [] then begin
+      let still =
+        List.filter
+          (fun pid ->
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ -> true
+            | _ -> false
+            | exception Unix.Unix_error _ -> false)
+          pending
       in
-      if o.replayed > 0 then metric_inc t "serve.jobs.resumed";
-      { Store.cases = List.length o.reports; passed; failed = o.job_failed }
-    | Error msg -> { Store.cases = 0; passed = 0; failed = Some msg }
-  in
-  (match outcome with
-  | Error msg ->
-    (* even a crashed job leaves durable (empty) results so RESULTS is
-       well-defined *)
-    Store.write_results t.store id [];
-    ignore msg
-  | Ok _ -> ());
-  Store.complete t.store id completion;
-  (match completion.Store.failed with
-  | None ->
-    t.completed <- t.completed + 1;
-    metric_inc t "serve.completed"
-  | Some _ ->
-    t.failed <- t.failed + 1;
-    metric_inc t "serve.failed");
-  trace_event t "serve-job-done"
-    [ ("id", Obs.Trace.I id);
-      ("cases", Obs.Trace.I completion.Store.cases);
-      ("passed", Obs.Trace.I completion.Store.passed);
-      ("failed", Obs.Trace.B (completion.Store.failed <> None)) ];
-  (match subscriber_conn t id with
-  | None -> ()
-  | Some conn ->
-    send t conn
-      (Wire.Done
-         { id; cases = completion.Store.cases;
-           passed = completion.Store.passed;
-           failed = completion.Store.failed }));
-  Hashtbl.remove t.subscribers id
-
-let poll_slots t =
-  let now = Unix.gettimeofday () in
-  (* watchdog: a slot with no case progress for [stall_timeout_s], or past
-     the [job_timeout_s] wall ceiling, gets the cooperative abort — the
-     runner raises at its next case boundary and the journal keeps every
-     completed case *)
-  List.iter
-    (fun s ->
-      if (not (slot_aborted s)) && not (slot_finished s) then begin
-        let stalled = now -. s.last_progress > t.cfg.stall_timeout_s in
-        let over = now -. s.started_at > t.cfg.job_timeout_s in
-        if stalled || over then begin
-          s.abort_at <- now;
-          Atomic.set s.cancel true;
-          metric_inc t "serve.watchdog.fired";
-          trace_event t "serve-watchdog"
-            [ ("id", Obs.Trace.I s.sub.Store.id);
-              ("why", Obs.Trace.S (if stalled then "stalled" else "over-budget")) ]
+      if still <> [] then
+        if Unix.gettimeofday () > deadline then
+          List.iter
+            (fun pid ->
+              kill_quiet pid Sys.sigkill;
+              try ignore (Rb_util.Retry.on_eintr (fun () -> Unix.waitpid [] pid))
+              with Unix.Unix_error _ -> ())
+            still
+        else begin
+          Unix.sleepf 0.02;
+          reap_all still
         end
-      end)
-    t.slots;
-  let done_, live = List.partition slot_finished t.slots in
-  (* a slot still not finished [abandon_grace_s] after its abort is hung
-     inside a case — OCaml domains cannot be killed, so the domain is
-     parked as a zombie (reaped if it ever dies) and the slot is reclaimed
-     now; the job itself requeues at its journal frontier *)
-  let abandoned, live =
-    List.partition
-      (fun s -> slot_aborted s && now -. s.abort_at > t.cfg.abandon_grace_s)
-      live
+    end
   in
-  t.slots <- live;
-  List.iter (drain_stream t) live;
-  List.iter
-    (fun s ->
-      drain_stream t s;
-      t.zombies <- s :: t.zombies;
-      metric_inc t "serve.slots.abandoned";
-      trace_event t "serve-abandon" [ ("id", Obs.Trace.I s.sub.Store.id) ];
-      requeue_or_quarantine t s.sub
-        ~reason:"hung runner abandoned by watchdog" ~backtrace:"")
-    abandoned;
-  (* drain once more after the finished flag so every case frame precedes
-     the job's Done frame *)
-  List.iter (fun s -> drain_stream t s; finalize_slot t s) done_;
-  (* reap zombies whose domains eventually died; never block on live ones *)
-  let dead, still = List.partition slot_finished t.zombies in
-  List.iter
-    (fun z -> match Domain.join z.domain with _ -> () | exception _ -> ())
-    dead;
-  t.zombies <- still
+  reap_all live
 
 (* -- socket plumbing ----------------------------------------------------- *)
 
@@ -1421,36 +1048,27 @@ let run ?(on_ready = fun (_ : string) -> ()) cfg =
   let t =
     { cfg; store; queue; conns = Hashtbl.create 16;
       subscribers = Hashtbl.create 16;
-      pool =
-        (match cfg.worker_argv with
-        | None -> In_process
-        | Some _ ->
-          Workers
-            (Array.init (max 1 cfg.runners) (fun _ ->
-                 { ws = W_down { next_spawn_at = 0.0 }; failures = 0 })));
+      slots =
+        Array.init (max 1 cfg.runners) (fun _ ->
+            { state = Down { next_spawn_at = 0.0 }; failures = 0 });
       rng = Rb_util.Rng.create cfg.rng_seed;
-      sigchld_w; slots = []; zombies = [];
-      shutting_down = false; draining = false;
-      next_cid = 0; service_ewma_ms = 1000.0; ever_ready = false;
-      spawn_fail_streak = 0; accepted = 0; completed = 0;
+      sigchld_w; shutting_down = false; draining = false;
+      next_cid = 0; service_ewma_ms = 1000.0; accepted = 0; completed = 0;
       failed = 0; cancelled = 0; busy = 0; rejected = 0; resumed = 0;
       quarantined_n = 0; requeued = 0; evicted = 0; respawns = 0;
       kills_term = 0; kills_kill = 0 }
   in
   let chld_byte = Bytes.make 1 '\001' in
   let previous_sigchld =
-    match t.pool with
-    | In_process -> None
-    | Workers _ -> (
-      match
-        Sys.signal Sys.sigchld
-          (Sys.Signal_handle
-             (fun _ ->
-               try ignore (Unix.write t.sigchld_w chld_byte 0 1)
-               with Unix.Unix_error _ -> ()))
-      with
-      | s -> Some s
-      | exception (Invalid_argument _ | Sys_error _) -> None)
+    match
+      Sys.signal Sys.sigchld
+        (Sys.Signal_handle
+           (fun _ ->
+             try ignore (Unix.write t.sigchld_w chld_byte 0 1)
+             with Unix.Unix_error _ -> ()))
+    with
+    | s -> Some s
+    | exception (Invalid_argument _ | Sys_error _) -> None
   in
   (match cfg.trace with
   | None -> ()
@@ -1478,8 +1096,7 @@ let run ?(on_ready = fun (_ : string) -> ()) cfg =
     (Store.pending t.store);
   trace_event t "serve-start"
     [ ("resumed", Obs.Trace.I t.resumed);
-      ("runners", Obs.Trace.I cfg.runners);
-      ("pool", Obs.Trace.S (pool_label t)) ];
+      ("runners", Obs.Trace.I cfg.runners) ];
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Rb_util.Fsfile.remove_if_exists cfg.socket;
   Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket);
@@ -1535,14 +1152,11 @@ let run ?(on_ready = fun (_ : string) -> ()) cfg =
     let conns = conn_list () in
     (* (fd, slot) pairs rebuilt each tick from live worker state *)
     let wfds =
-      match t.pool with
-      | In_process -> []
-      | Workers ws ->
-        Array.to_list ws
-        |> List.filter_map (fun s ->
-               match worker_of s with
-               | Some w when w.Procpool.alive -> Some (w.Procpool.fd, s)
-               | _ -> None)
+      Array.to_list t.slots
+      |> List.filter_map (fun s ->
+             match worker_of s with
+             | Some w when w.Procpool.alive -> Some (w.Procpool.fd, s)
+             | _ -> None)
     in
     let rds =
       (listen_fd :: sigchld_r :: List.map fst wfds)
@@ -1566,13 +1180,12 @@ let run ?(on_ready = fun (_ : string) -> ()) cfg =
     (* worker frames before the reap so a Job_done beats its own SIGCHLD;
        the reap before the watchdog so deaths become respawns this tick *)
     List.iter
-      (fun (fd, wslot) -> if List.mem fd rd then read_worker t wslot)
+      (fun (fd, slot) -> if List.mem fd rd then read_worker t slot)
       wfds;
     if List.mem sigchld_r rd then drain_sigchld ();
     reap_children t;
     (* draining still dispatches — the point is to finish the queue *)
     if not t.shutting_down then dispatch t;
-    poll_slots t;
     poll_workers t;
     if t.shutting_down then
       (* still drain finished work, but start nothing new *)
@@ -1603,7 +1216,7 @@ let run ?(on_ready = fun (_ : string) -> ()) cfg =
           close_conn t c)
       (conn_list ())
   done;
-  shutdown_pool t;
+  shutdown_workers t;
   List.iter (fun c -> close_conn t c) (conn_list ());
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   Rb_util.Fsfile.remove_if_exists cfg.socket;

@@ -27,17 +27,19 @@
     reclaimed within [stall_timeout_s + abandon_grace_s], always. Each
     worker runs exactly one job attempt under optional OS resource caps
     (RLIMIT_AS from [worker_mem_mb], RLIMIT_CPU from [job_timeout_s]),
-    then exits; dead workers respawn under seeded-jitter exponential
-    backoff. A crashed or killed attempt requeues the job at its journal
-    frontier; a job that spends its [max_crashes] budget — counted
-    durably, across whole-server kills — is quarantined as poison with
-    its journal preserved for triage.
+    then exits; on Linux it also dies with the server (parent-death
+    SIGKILL), so a [kill -9]'d server strands no worker. Dead workers
+    respawn under seeded-jitter exponential backoff. A crashed or killed
+    attempt requeues the job at its journal frontier; a job that spends
+    its [max_crashes] budget — counted durably, across whole-server
+    kills — is quarantined as poison with its journal preserved for
+    triage.
 
-    [--in-process] mode ([worker_argv = None]) keeps the previous
-    runner-domain path: cooperative aborts only, with hung domains
-    abandoned as zombies (OCaml domains cannot be killed). The server
-    also falls back to it automatically if worker spawning fails before
-    any worker ever completes the handshake.
+    Worker processes are the only way a job runs. If spawning keeps
+    failing (no fork, an argv that cannot exec), the slots stay [down]
+    under the same backoff and HEALTH shows it; SUBMIT still admits jobs
+    durably, and they wait in the queue until a worker comes up. The
+    server never drops isolation to run a job in its own process.
 
     Admission control: a full queue or an over-quota tenant gets an
     explicit BUSY frame carrying a retry-after hint derived from an EWMA of
@@ -48,7 +50,7 @@
     durable results file makes that safe. *)
 
 (** Deterministic fault injection for the chaos harness: fires at every
-    case boundary inside the runner (worker process or domain). *)
+    case boundary inside the worker process. *)
 type poison_mode = Jobrun.poison_mode =
   | Poison_exit   (** [Unix._exit 66]: the runner process dies mid-job *)
   | Poison_hang   (** sleep forever: only the watchdog reclaims the slot *)
@@ -60,7 +62,7 @@ type poison_mode = Jobrun.poison_mode =
 type config = {
   socket : string;           (** Unix-domain socket path to bind *)
   state_dir : string;        (** {!Store} root; survives restarts *)
-  runners : int;             (** concurrent job slots (workers/domains) *)
+  runners : int;             (** concurrent job slots (worker processes) *)
   domains_per_job : int option;
       (** scheduler width for jobs whose opts leave [domains] unset *)
   max_queue : int;           (** bounded inbound queue (jobs) *)
@@ -77,8 +79,7 @@ type config = {
                                  also sizes the worker RLIMIT_CPU cap *)
   abandon_grace_s : float;
       (** wall seconds from the cooperative abort to SIGKILL (SIGTERM
-          fires halfway); in-process mode: time before a hung domain is
-          abandoned as a zombie and its slot reclaimed *)
+          fires halfway) *)
   out_limit : int;           (** per-connection outbound buffer bound, bytes *)
   evict_idle_s : float;
       (** evict a connection with pending output whose socket has taken
@@ -86,9 +87,9 @@ type config = {
   poison : (string * poison_mode) list;
       (** chaos plan, case name -> fault fired at its case boundary;
           declarative so it serializes into worker Job frames *)
-  worker_argv : string array option;
-      (** worker-process command line (typically the server's own binary
-          with a hidden subcommand); [None] = in-process runner domains *)
+  worker_argv : string array;
+      (** worker-process command line: a binary whose argv dispatches to
+          {!Procpool.worker_main} *)
   worker_mem_mb : int;       (** RLIMIT_AS cap per worker, MiB; 0 = none *)
   rng_seed : int;            (** seeds respawn-backoff jitter *)
   kb_dir : string option;
@@ -108,8 +109,9 @@ val default_config : config
 (** socket ["rustbrain.sock"], state dir ["serve-state"], 2 runners,
     queue bound 128, quota 64, 20ms tick; crash budget 3, 5min stall /
     1h job watchdog, 1s abandon grace, 8 MiB outbound bound, 30s
-    eviction; no poison, in-process runners ([worker_argv = None]), no
-    memory cap, seed [0x5eed], no trace/metrics. *)
+    eviction; no poison, workers re-exec the running binary as
+    [[| Sys.executable_name; "__rb_worker" |]] (the CLI's hidden worker
+    subcommand), no memory cap, seed [0x5eed], no trace/metrics. *)
 
 type summary = {
   accepted : int;
@@ -135,5 +137,7 @@ val run : ?on_ready:(string -> unit) -> config -> summary
     no children outlive the server. [on_ready] is called with the socket
     path once it is bound and listening — the hook tests and the smoke
     gate use to know when to connect. Installs [SIGPIPE] ignore and
-    (worker mode) [SIGCHLD] self-pipe handlers for the duration,
-    restoring the previous handlers on exit. *)
+    [SIGCHLD] self-pipe handlers for the duration, restoring the previous
+    handlers on exit. Call it from a process that has never run a second
+    domain: OCaml 5 refuses [Unix.fork] there, and every slot would stay
+    down. *)

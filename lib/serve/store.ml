@@ -601,8 +601,8 @@ let cancel t id =
    the job is handed to a runner slot, [ended] catches up when the attempt
    concludes under the server's control (completion, controlled failure,
    or cancellation). The difference is exactly the number of attempts that
-   ended in a crash — a runner domain dying, a watchdog abandonment, or
-   the whole server being killed with the job in flight — and it counts
+   ended in a crash — a worker process dying, a watchdog kill, or the
+   whole server being killed with the job in flight — and it counts
    *across restarts*, because it is read back at startup. *)
 
 let attempt_counts t id =
@@ -668,8 +668,8 @@ let quarantined t =
 
 (* -- results ------------------------------------------------------------- *)
 
-let write_results t id reports =
-  Rb_util.Fsfile.write_channel (results_path t id) (fun oc ->
+let write_results path reports =
+  Rb_util.Fsfile.write_channel path (fun oc ->
       Rustbrain.Report.emit_jsonl oc (List.to_seq reports))
 
 let complete t id completion =

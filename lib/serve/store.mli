@@ -88,8 +88,11 @@ val counts : t -> int * int * int * int
 val cancel : t -> int -> bool
 (** Durably cancel a still-queued job; [false] if unknown or past that. *)
 
-val write_results : t -> int -> Rustbrain.Report.t list -> unit
-(** Atomically (re)write the stitched results JSONL. *)
+val write_results : string -> Rustbrain.Report.t list -> unit
+(** [write_results path reports] atomically (re)writes the stitched
+    results JSONL at [path], a {!results_path}: one [Report.to_json] line
+    per report. The one results writer — the worker process calls it
+    with the path its Job frame carries. *)
 
 val complete : t -> int -> completion -> unit
 (** Durably mark the job finished (and its attempt cleanly ended); call
@@ -110,14 +113,14 @@ val progress : t -> int -> int
 
     A tiny per-job WAL ([queue/attempts-NNNNNN.json]) holding two
     counters: attempts started and attempts cleanly ended. The
-    difference is the number of attempts that crashed — a runner domain
-    dying, a watchdog abandonment, or the whole server killed with the
-    job in flight — and it survives restarts because the record is read
-    back by {!open_dir}. *)
+    difference is the number of attempts that crashed — a worker process
+    dying, a watchdog kill, or the whole server killed with the job in
+    flight — and it survives restarts because the record is read back by
+    {!open_dir}. *)
 
 val begin_attempt : t -> int -> unit
 (** Durably bump the started counter; call before handing the job to a
-    runner slot. *)
+    worker. *)
 
 val end_attempt : t -> int -> unit
 (** Durably mark every started attempt as ended — the attempt concluded

@@ -126,12 +126,10 @@ type response =
       quarantined : int;
       draining : bool;
       slots : (int * string) list;  (** slot index -> state label *)
-      pool : string;                (** "workers" | "in-process" *)
       worker_pids : int list;       (** live worker processes *)
       respawns : int;               (** workers respawned after a death *)
       kills_term : int;             (** watchdog SIGTERMs sent *)
       kills_kill : int;             (** watchdog SIGKILLs sent *)
-      zombies : int;                (** abandoned domains (in-process mode) *)
     }
   | Error_msg of string
 
@@ -279,8 +277,8 @@ let response_to_string = function
           [ ("type", Str "draining"); ("active", num active);
             ("queued", num queued) ]
       | Health
-          { queued; running; quarantined; draining; slots; pool; worker_pids;
-            respawns; kills_term; kills_kill; zombies } ->
+          { queued; running; quarantined; draining; slots; worker_pids;
+            respawns; kills_term; kills_kill } ->
         Obj
           [ ("type", Str "health"); ("queued", num queued);
             ("running", num running); ("quarantined", num quarantined);
@@ -290,10 +288,9 @@ let response_to_string = function
                 (List.map
                    (fun (i, s) -> Obj [ ("slot", num i); ("state", Str s) ])
                    slots) );
-            ("pool", Str pool);
             ("worker_pids", List (List.map num worker_pids));
             ("respawns", num respawns); ("kills_term", num kills_term);
-            ("kills_kill", num kills_kill); ("zombies", num zombies) ]
+            ("kills_kill", num kills_kill) ]
       | Error_msg msg -> Obj [ ("type", Str "error"); ("msg", Str msg) ])
 
 let response_of_json json =
@@ -425,14 +422,9 @@ let response_of_json json =
             | _ -> None)
           l
     in
-    (* pool fields absent on pre-procpool servers: default to the only
-       mode those servers had *)
+    (* supervision fields absent on pre-procpool servers read as 0 *)
     let opt_int name =
       Option.value ~default:0 (Option.bind (member name json) to_int)
-    in
-    let pool =
-      Option.value ~default:"in-process"
-        (Option.bind (member "pool" json) to_str)
     in
     let worker_pids =
       match Option.bind (member "worker_pids" json) to_list with
@@ -441,9 +433,9 @@ let response_of_json json =
     in
     Ok
       (Health
-         { queued; running; quarantined; draining; slots; pool; worker_pids;
+         { queued; running; quarantined; draining; slots; worker_pids;
            respawns = opt_int "respawns"; kills_term = opt_int "kills_term";
-           kills_kill = opt_int "kills_kill"; zombies = opt_int "zombies" })
+           kills_kill = opt_int "kills_kill" })
   | "error" ->
     let* msg = str "msg" in
     Ok (Error_msg msg)

@@ -125,14 +125,10 @@ type response =
       slots : (int * string) list;
           (** slot index -> ["idle" | "starting" | "down" |
               "running job N (pid P)" | "hung job N (pid P)"] *)
-      pool : string;           (** ["workers"] or ["in-process"] *)
       worker_pids : int list;  (** live worker processes, slot order *)
       respawns : int;          (** workers respawned after a death *)
       kills_term : int;        (** watchdog SIGTERMs sent *)
       kills_kill : int;        (** watchdog SIGKILLs sent *)
-      zombies : int;
-          (** abandoned runner domains still parked (in-process mode
-              only — the worker pool has no zombies by construction) *)
     }
   | Error_msg of string
 

@@ -194,12 +194,12 @@ let test_response_roundtrip () =
       Wire.Health
         { queued = 2; running = 1; quarantined = 1; draining = false;
           slots = [ (0, "running job 4 (pid 123)"); (1, "idle") ];
-          pool = "workers"; worker_pids = [ 123; 456 ]; respawns = 2;
-          kills_term = 1; kills_kill = 1; zombies = 0 };
+          worker_pids = [ 123; 456 ]; respawns = 2; kills_term = 1;
+          kills_kill = 1 };
       Wire.Health
         { queued = 0; running = 0; quarantined = 0; draining = true;
-          slots = []; pool = "in-process"; worker_pids = []; respawns = 0;
-          kills_term = 0; kills_kill = 0; zombies = 1 };
+          slots = [ (0, "down"); (1, "down") ]; worker_pids = [];
+          respawns = 0; kills_term = 0; kills_kill = 0 };
       Wire.Error_msg "bad frame length 0" ]
   in
   List.iter
@@ -210,7 +210,15 @@ let test_response_roundtrip () =
           (Printf.sprintf "response round-trips: %s" (Wire.response_to_string r))
           true (r = r')
       | Error e -> Alcotest.failf "response rejected: %s" e)
-    responses
+    responses;
+  (* decoders ignore members they do not know, so serve-ctl still reads a
+     HEALTH reply carrying the members older servers sent *)
+  match
+    Wire.parse_response
+      {|{"type":"health","queued":1,"running":0,"quarantined":0,"draining":false,"slots":[{"slot":0,"state":"idle"}],"pool":"in-process","worker_pids":[],"respawns":0,"kills_term":0,"kills_kill":0,"zombies":1}|}
+  with
+  | Ok (Wire.Health { queued = 1; slots = [ (0, "idle") ]; _ }) -> ()
+  | _ -> Alcotest.fail "HEALTH reply with unknown members rejected"
 
 let test_case_frame_verbatim () =
   (* the CASE frame's report member is the exact Report.to_json bytes —
@@ -498,7 +506,7 @@ let test_store_results_complete () =
       let reports =
         [ mk_report (); mk_report ~name:"case-b" ~passed:false () ]
       in
-      Store.write_results store s.id reports;
+      Store.write_results (Store.results_path store s.id) reports;
       let expect =
         String.concat ""
           (List.map (fun r -> Rustbrain.Report.to_json r ^ "\n") reports)
@@ -709,7 +717,7 @@ let test_fsck_results_torn_tail () =
         Store.admit store ~tenant:"t" ~backend:"b"
           ~cases:[ "case-a"; "case-b" ] ~opts:Opts.default
       in
-      Store.write_results store s.id
+      Store.write_results (Store.results_path store s.id)
         [ mk_report (); mk_report ~name:"case-b" () ];
       let path = Store.results_path store s.id in
       let whole = raw_read path in
@@ -881,8 +889,8 @@ let test_procpool_server_roundtrip () =
 
 let test_procpool_case_done_verbatim () =
   (* like Wire.Case: the report member must be spliced bytes, not a
-     re-rendering — both isolation modes stream the exact bytes the
-     results file stores *)
+     re-rendering — workers stream the exact bytes the results file
+     stores *)
   let report_json = Rustbrain.Report.to_json (mk_report ()) in
   let rendered =
     Procpool.to_server_string
@@ -943,6 +951,18 @@ let test_procpool_backoff () =
   let b = List.init 8 (fun i -> Procpool.backoff_delay ~failures:(i + 1)
                                   (Rb_util.Rng.create 5)) in
   Alcotest.(check (list (float 1e-12))) "seeded jitter deterministic" a b
+
+(* OCaml 5 refuses [Unix.fork] in any process that has ever run a second
+   domain; spawn must turn that refusal into an [Error], closing both
+   socketpair ends, instead of letting it escape into the server loop. *)
+let test_procpool_spawn_refused_fork () =
+  Domain.join (Domain.spawn (fun () -> ()));
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  (match Procpool.spawn ~argv:[| "/bin/true" |] () with
+  | Error _ -> ()
+  | Ok w -> Alcotest.failf "spawned pid %d after a domain ran" w.Procpool.pid);
+  Alcotest.(check int) "socketpair closed" before (open_fds ())
 
 let suite =
   [ Alcotest.test_case "wire: framing round-trip" `Quick test_framing_roundtrip;
@@ -1023,4 +1043,6 @@ let suite =
     Alcotest.test_case "procpool: poison labels round-trip" `Quick
       test_poison_labels;
     Alcotest.test_case "procpool: respawn backoff bounds" `Quick
-      test_procpool_backoff ]
+      test_procpool_backoff;
+    Alcotest.test_case "procpool: refused fork is an error" `Quick
+      test_procpool_spawn_refused_fork ]
