@@ -584,6 +584,7 @@ let resilience_smoke () =
 
     let repair_case () _ : Rustbrain.Report.t = failwith "injected crash"
     let session_stats () = Exec.Runner.no_stats
+    let resumable () = true
   end in
   let job runner = { Exec.Scheduler.label = Exec.Runner.name runner; runner; cases } in
   let results, _ =
@@ -1624,6 +1625,26 @@ let serve_smoke () =
               failf "reference connect: %s" e;
               None
             | Ok c ->
+              (* a job that lists a case twice is refused, naming the case,
+                 before anything is made durable *)
+              (match names with
+              | a :: b :: _ -> (
+                (match
+                   Serve.Client.request c
+                     (Serve.Wire.Submit
+                        { tenant = "smoke"; backend = "rustbrain";
+                          cases = Some [ a; b; a ];
+                          opts = Some serve_smoke_opts })
+                 with
+                | Ok (Serve.Wire.Rejected { reason }) when contains reason a -> ()
+                | Ok r ->
+                  failf "repeated-case submit: unexpected %s"
+                    (Serve.Wire.response_to_string r)
+                | Error e -> failf "repeated-case submit: %s" e);
+                let store = Serve.Store.open_dir ~scrub:false ~dir:state () in
+                if Serve.Store.pending store <> [] then
+                  failf "a rejected submit left a durable record")
+              | _ -> failf "serve smoke needs two cases");
               let out =
                 match
                   Serve.Client.run_job c ~tenant:"smoke" ~backend:"rustbrain"
@@ -1783,8 +1804,9 @@ let serve_smoke () =
   Option.iter (failf "%s") (leak_report ());
   if !failures > 0 then exit 1;
   Printf.printf
-    "serve smoke ok: %d case-repairs accepted durably, killed -9 mid-campaign \
-     with its worker dying alongside, resumed byte-identical\n"
+    "serve smoke ok: a repeated-case job rejected before admission, %d \
+     case-repairs accepted durably, killed -9 mid-campaign with its worker \
+     dying alongside, resumed byte-identical\n"
     total
 
 (* -- chaos-serve gate (dune runtest alias chaos-serve) ------------------ *)
@@ -2646,6 +2668,36 @@ let knn () =
 
 (* -- kb-smoke gate (dune runtest alias kb-smoke) ------------------------ *)
 
+(* kb-smoke helper, run as a fresh process: one 1-seed job over four cases
+   against the writable KB slice [slice], journaled under [journal].
+   [mode] is "kill2" (fresh, killed after 2 records), "resume" or "fresh".
+   Writes "replayed R recomputed C", then each report's JSON, to [out]. *)
+let kb_job_child ~slice ~journal ~mode ~out =
+  let cases = List.filteri (fun i _ -> i mod 27 = 0 && i < 108) Dataset.Corpus.all in
+  let runner =
+    Exec.Backends.rustbrain
+      ~config:{ (rustbrain_cfg ~seed:1 ()) with Rustbrain.Pipeline.kb_dir = Some slice }
+      ()
+  in
+  let kill_after, mode =
+    match mode with
+    | "kill2" -> (Some 2, Exec.Checkpoint.Fresh)
+    | "resume" -> (None, Exec.Checkpoint.Resume)
+    | _ -> (None, Exec.Checkpoint.Fresh)
+  in
+  let o =
+    Exec.Checkpoint.run ~domains:1 ?kill_after ~dir:journal ~mode
+      (Exec.Scheduler.seeded_jobs runner ~seeds:[ 1 ] cases)
+  in
+  Rb_util.Fsfile.write_atomic out
+    (String.concat "\n"
+       (Printf.sprintf "replayed %d recomputed %d" o.Exec.Checkpoint.replayed
+          o.Exec.Checkpoint.recomputed
+       :: List.map Rustbrain.Report.to_json
+            (List.concat_map
+               (fun r -> r.Exec.Scheduler.reports)
+               o.Exec.Checkpoint.results)))
+
 let kb_smoke () =
   section "KB smoke — persistent-store determinism, crash healing, compaction";
   let failures = ref 0 in
@@ -2855,6 +2907,155 @@ let kb_smoke () =
     "retrieval agreement: exact==indexed and 4-domain==sequential over %d queries\n"
     (List.length qs);
 
+  (* 7: resume against a persistent KB. Every run is a fresh process: in
+     one process the registry would keep serving the rows it read first.
+     A 1-seed, 4-case job on a writable slice is killed after 2 journaled
+     records, then (a) rows appended past the slice's high-water id leave
+     the snapshot usable: 2 replayed, reports byte-identical to an
+     uninterrupted run; (b) the rows below the mark replaced (same ids,
+     other content) make it unusable: nothing replayed, and the reports
+     are a fresh run's on the replaced rows, never a mix of the two;
+     (c) as (b), with the last record torn so the snapshot is out of step
+     and never consulted: the recompute's re-run of the surviving record
+     disagrees with it, so again nothing more is journaled and no later
+     resume mixes the two slices *)
+  let kb_job ~slice ~journal mode =
+    let out = fresh_dir "job-out" in
+    let pid =
+      Unix.create_process Sys.executable_name
+        [| Sys.executable_name; "kb-job-child"; slice; journal; mode; out |]
+        Unix.stdin Unix.stdout Unix.stderr
+    in
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> failf "kb-job-child %s died" mode);
+    let lines =
+      String.split_on_char '\n' (Option.value ~default:"" (Rb_util.Fsfile.read out))
+    in
+    Rb_util.Fsfile.remove_if_exists out;
+    match lines with head :: reports -> (head, reports) | [] -> ("", [])
+  in
+  let seed_count = List.length Miri.Diag.all_kinds in
+  let rewrite dir f =
+    match Knowledge.Segment.open_writer
+        ~expect:(Knowledge.Featvec.dim, Knowledge.Featvec.version) ~dir () with
+    | Error e -> failf "opening %s: %s" dir e
+    | Ok (w, _) ->
+      f (fun vec entry ->
+          match
+            Knowledge.Segment.append w ~vec ~payload:(Knowledge.Kb.entry_to_json entry)
+          with
+          | Ok _ -> ()
+          | Error e -> failf "appending to %s: %s" dir e);
+      Knowledge.Segment.close w
+  in
+  let seed_rows dir =
+    match Knowledge.Segment.load dir with
+    | Error e ->
+      failf "loading %s: %s" dir e;
+      []
+    | Ok r ->
+      List.filter_map
+        (fun (r : Knowledge.Segment.record) ->
+          if r.Knowledge.Segment.id >= seed_count then None
+          else
+            Option.map
+              (fun e -> (r.Knowledge.Segment.vec, e))
+              (Knowledge.Kb.entry_of_json r.Knowledge.Segment.payload))
+        r.Knowledge.Segment.records
+  in
+  let dirs = ref [] in
+  let dir tag =
+    let d = fresh_dir tag in
+    dirs := d :: !dirs;
+    d
+  in
+  let _, uninterrupted = kb_job ~slice:(dir "ref-a") ~journal:(dir "ref-a-j") "fresh" in
+  (* (a) *)
+  let slice_a = dir "resume-a" and journal_a = dir "resume-a-j" in
+  ignore (kb_job ~slice:slice_a ~journal:journal_a "kill2");
+  let past = seed_rows slice_a in
+  rewrite slice_a (fun add ->
+      List.iter
+        (fun (vec, (e : Knowledge.Kb.entry)) ->
+          add vec { e with Knowledge.Kb.advice = "appended past the mark" })
+        past);
+  let head_a, resumed_a = kb_job ~slice:slice_a ~journal:journal_a "resume" in
+  if head_a <> "replayed 2 recomputed 2" then
+    failf "appends past the mark: %S, want 2 replayed" head_a;
+  if resumed_a <> uninterrupted then
+    failf "appends past the mark: resumed reports differ from an uninterrupted run";
+  (* the slice's seed rows, rewritten with other advice and fix under the
+     same ids: everything past them, the killed run's learns included, is
+     gone *)
+  let replace_seed_rows slice =
+    let rows = seed_rows slice in
+    let replaced = dir "replaced" in
+    rewrite replaced (fun add ->
+        List.iteri
+          (fun i (vec, (e : Knowledge.Kb.entry)) ->
+            add vec
+              { e with
+                Knowledge.Kb.advice =
+                  Printf.sprintf "replaced row %d: %s" i e.Knowledge.Kb.advice;
+                recommended = Repairs.Rule.Assert })
+          rows);
+    if
+      Sys.command
+        (Printf.sprintf "rm -rf %s && mv %s %s" (Filename.quote slice)
+           (Filename.quote replaced) (Filename.quote slice))
+      <> 0
+    then failf "replacing the rows below the mark failed"
+  in
+  (* (b) *)
+  let slice_b = dir "resume-b" and journal_b = dir "resume-b-j" in
+  ignore (kb_job ~slice:slice_b ~journal:journal_b "kill2");
+  replace_seed_rows slice_b;
+  let on_replaced = dir "on-replaced" and on_replaced_j = dir "on-replaced-j" in
+  if
+    Sys.command
+      (Printf.sprintf "cp -r %s %s" (Filename.quote slice_b) (Filename.quote on_replaced))
+    <> 0
+  then failf "copying the replaced rows failed";
+  let _, fresh_replaced = kb_job ~slice:on_replaced ~journal:on_replaced_j "fresh" in
+  if fresh_replaced = uninterrupted then
+    failf "replacing the rows changed no report: a mix would go unseen";
+  let head_b, resumed_b = kb_job ~slice:slice_b ~journal:journal_b "resume" in
+  if head_b <> "replayed 0 recomputed 4" then
+    failf "rows replaced below the mark: %S, want the job recomputed" head_b;
+  if resumed_b <> fresh_replaced then
+    failf "rows replaced below the mark: reports differ from a fresh run on them";
+  let head_b2, _ = kb_job ~slice:slice_b ~journal:journal_b "resume" in
+  if head_b2 <> "replayed 0 recomputed 4" then
+    failf "a second resume on the replaced rows: %S, want nothing replayed" head_b2;
+  (* (c) *)
+  (match (fresh_replaced, uninterrupted) with
+  | r :: _, r' :: _ when r <> r' -> ()
+  | _ -> failf "replacing the rows left the first report as it was: a mix would go unseen");
+  let slice_c = dir "resume-c" and journal_c = dir "resume-c-j" in
+  ignore (kb_job ~slice:slice_c ~journal:journal_c "kill2");
+  let last = Filename.concat journal_c "rec-000001.json" in
+  (match Unix.stat last with
+  | st -> Unix.truncate last (st.Unix.st_size - 5)
+  | exception Unix.Unix_error _ -> failf "no second record to tear");
+  replace_seed_rows slice_c;
+  let head_c, resumed_c = kb_job ~slice:slice_c ~journal:journal_c "resume" in
+  if head_c <> "replayed 0 recomputed 4" then
+    failf "a torn tail on replaced rows: %S, want the job recomputed" head_c;
+  if resumed_c <> fresh_replaced then
+    failf "a torn tail on replaced rows: reports differ from a fresh run on them";
+  let head_c2, _ = kb_job ~slice:slice_c ~journal:journal_c "resume" in
+  if head_c2 <> "replayed 0 recomputed 4" then
+    failf "a second resume after a torn tail on replaced rows: %S, want nothing \
+           replayed" head_c2;
+  Printf.printf
+    "resume on a persistent KB: appends past the mark %s, rows replaced below it \
+     %s, and with a torn tail %s\n"
+    head_a head_b head_c;
+  List.iter
+    (fun d -> ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d))))
+    !dirs;
+
   if !failures > 0 then exit 1;
   print_endline "kb smoke ok"
 
@@ -2880,6 +3081,8 @@ let () =
     serve_child ~socket ~state ~runners:(int_of_string runners) ~poison_spec
       ~mode
   | [ "worker-child" ] -> Serve.Procpool.worker_main ()
+  | [ "kb-job-child"; slice; journal; mode; out ] ->
+    kb_job_child ~slice ~journal ~mode ~out
   | [ "kb-append-child"; dir ] -> (
     (* kb-smoke helper: append 4-dim records until SIGKILLed *)
     match Knowledge.Segment.open_writer ~expect:(4, 1) ~dir () with

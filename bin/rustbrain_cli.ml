@@ -1251,7 +1251,8 @@ let serve_load_cmd =
   in
   let cases_per_job =
     Arg.(value & opt int 2 & info [ "cases-per-job" ] ~docv:"N"
-           ~doc:"Corpus cases per job (rotating through the corpus).")
+           ~doc:"Corpus cases per job (rotating through the corpus), at most \
+                 the corpus size.")
   in
   let backend =
     Arg.(value & opt string "llm-only" & info [ "backend" ] ~docv:"NAME"
@@ -1278,6 +1279,11 @@ let serve_load_cmd =
         then
           Error "--journal/--resume/--fresh/--trace/--metrics are server-side; \
                  pass them to serve"
+        else if cases_per_job > Dataset.Corpus.size then
+          (* the server rejects a job that lists a case twice *)
+          Error
+            (Printf.sprintf "--cases-per-job %d: the corpus has only %d cases"
+               cases_per_job Dataset.Corpus.size)
         else Ok o
     with
     | Error msg ->

@@ -111,6 +111,7 @@ let config s = s.cfg
 let llm_stats s = Llm_sim.Client.stats s.client
 let resilience s = s.resilient
 let verification_cache s = s.cache
+let kb_resolves s = Option.fold ~none:true ~some:Knowledge.Kb.resolves s.kb
 
 (* restrict a plan to the enabled agents *)
 let filter_solution cfg (solution : Solution.t) : Solution.t =

@@ -67,6 +67,11 @@ val verification_cache : session -> Miri.Machine.Cache.t
 (** The session's verification memo-cache (hit/miss counters feed the
     bench perf report; disabled when [config.use_cache] is false). *)
 
+val kb_resolves : session -> bool
+(** Whether the session's knowledge base still resolves in this process
+    ({!Knowledge.Kb.resolves}; true without a KB). Asked of a session
+    restored from a snapshot before it carries on. *)
+
 val repair : session -> Dataset.Case.t -> Report.t
 (** Run the full pipeline on one case. *)
 

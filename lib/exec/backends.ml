@@ -16,6 +16,7 @@ module Rustbrain_pipeline = struct
   let create_session = Rustbrain.Pipeline.create_session
   let repair_case = Rustbrain.Pipeline.repair
   let session_stats s = stats_of_cache (Rustbrain.Pipeline.verification_cache s)
+  let resumable = Rustbrain.Pipeline.kb_resolves
 end
 
 module Llm_alone = struct
@@ -29,6 +30,7 @@ module Llm_alone = struct
   let create_session = Baselines.Llm_only.create_session
   let repair_case = Baselines.Llm_only.repair
   let session_stats s = stats_of_cache (Baselines.Llm_only.verification_cache s)
+  let resumable _ = true
 end
 
 module Fixed_assistant = struct
@@ -42,6 +44,7 @@ module Fixed_assistant = struct
   let create_session = Baselines.Rust_assistant.create_session
   let repair_case = Baselines.Rust_assistant.repair
   let session_stats s = stats_of_cache (Baselines.Rust_assistant.verification_cache s)
+  let resumable _ = true
 end
 
 module Human = struct
@@ -55,6 +58,7 @@ module Human = struct
   let create_session = Baselines.Human_expert.create_session
   let repair_case = Baselines.Human_expert.repair
   let session_stats s = stats_of_cache (Baselines.Human_expert.verification_cache s)
+  let resumable _ = true
 end
 
 let rustbrain ?(config = Rustbrain_pipeline.default_config) () =

@@ -12,10 +12,10 @@ type outcome = {
 
 (* Snapshots marshal closures, so they are only meaningful inside the
    binary that wrote them; digesting the executable makes a rebuilt binary
-   a different campaign. Memoized under a mutex, not [lazy]: the serve
-   runner slots call [run] from several domains at once, and concurrent
-   [Lazy.force] of one shared suspension raises [CamlinternalLazy.Undefined]
-   in every domain that loses the race. *)
+   a different campaign. Memoized under a mutex, not [lazy]: [run] is a
+   library entry point that callers may make from several domains at once,
+   and concurrent [Lazy.force] of one shared suspension raises
+   [CamlinternalLazy.Undefined] in every domain that loses the race. *)
 let code_version_mx = Mutex.create ()
 let code_version_memo = ref None
 
@@ -90,35 +90,48 @@ let plan_job journal ~records ~snapshots (job : Scheduler.job) =
       | Some (count, bytes) when count = n_done -> Some bytes
       | _ -> None
   in
+  let resumed = Option.bind snapshot_bytes (Runner.resume job.runner) in
   let fully_replayed = prefix_ok && n_done = total in
-  let resume_here = fully_replayed || snapshot_bytes <> None in
-  let prefix, remainder, skip =
-    if resume_here then
+  let prefix, remainder, to_check =
+    if fully_replayed || Option.is_some resumed then
       (List.map (fun (r : Journal.record) -> r.Journal.report) completed,
        drop n_done job.cases, [])
     else
-      (* snapshot unusable (or foreign records): recompute the whole job
-         from a fresh session; cases already journaled are re-run — their
-         reports are identical by determinism — but not re-appended *)
-      ([], job.cases, if prefix_ok then take n_done names else names)
+      (* snapshot missing, stale or refused by the backend (its KB rows
+         changed), or foreign records: recompute the whole job from a
+         fresh session. Cases already journaled are re-run, not
+         re-appended; the journal goes on only while the re-runs
+         reproduce its records, so it never holds reports of two sessions
+         that disagree — say one on other KB rows — for a later resume to
+         stitch together *)
+      ([], job.cases, completed)
   in
   let backend = Runner.name job.runner in
   let seed = Runner.seed job.runner in
   (* mutated only by the one domain running this job *)
-  let to_skip = ref skip in
+  let to_check = ref to_check in
+  let journaling = ref prefix_ok in
   let observe (case : Dataset.Case.t) report (stats : Runner.stats) ~snapshot =
-    match !to_skip with
-    | n :: rest when n = case.Dataset.Case.name -> to_skip := rest
-    | _ ->
-      Journal.append journal
-        { Journal.job = job.label; backend; seed;
-          case = case.Dataset.Case.name;
-          cache_hits = stats.Runner.cache_hits;
-          cache_misses = stats.Runner.cache_misses;
-          report }
-        ~snapshot
+    match !to_check with
+    | (r : Journal.record) :: rest ->
+      to_check := rest;
+      if
+        r.Journal.case <> case.Dataset.Case.name
+        || Rustbrain.Report.to_json r.Journal.report <> Rustbrain.Report.to_json report
+      then journaling := false
+    | [] ->
+      if !journaling then
+        Journal.append journal
+          { Journal.job = job.label; backend; seed;
+            case = case.Dataset.Case.name;
+            cache_hits = stats.Runner.cache_hits;
+            cache_misses = stats.Runner.cache_misses;
+            report }
+          ~snapshot:(Lazy.force snapshot)
   in
-  let runner = Runner.instrumented job.runner ~restore:snapshot_bytes ~observe in
+  let runner =
+    Runner.instrumented (Option.value resumed ~default:job.runner) ~observe
+  in
   { original = job;
     sched_job = { job with Scheduler.runner; cases = remainder };
     prefix;

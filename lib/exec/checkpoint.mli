@@ -18,9 +18,22 @@
     Recovery is conservative where the journal is imperfect: a snapshot
     that is missing, digest-corrupt, or out of step with the surviving
     records for its job (e.g. after a truncated tail) costs a recompute
-    of that whole job from a fresh session — already-journaled cases are
-    re-run without being re-appended, so determinism keeps the journal
-    and the reports consistent. *)
+    of that whole job from a fresh session. A snapshot may also be intact
+    but stale: a restored session that its backend finds not
+    {!Runner.S.resumable} — a pipeline session whose persistent KB
+    reference no longer resolves to the same frozen rows, because the
+    rows below its high-water id were replaced — is refused, and its job
+    is recomputed the same way, on the rows the store holds now. Rows
+    appended past the high-water id do not make a snapshot stale.
+
+    A recompute re-runs the job's journaled cases without re-appending
+    them, and journals the rest only if every re-run report equals its
+    record byte for byte. With an in-memory KB determinism makes them
+    equal, so the journal and the reports stay consistent. A session on
+    a persistent KB may see other rows than the run that journaled them
+    — replaced rows, or rows that run learned itself — and then nothing
+    more of the job is journaled: the next resume recomputes it again
+    instead of stitching two sessions' reports together. *)
 
 type mode =
   | Fresh   (** discard any existing journal and start over *)

@@ -28,6 +28,7 @@ module type S = sig
   val create_session : config -> session
   val repair_case : session -> Dataset.Case.t -> Rustbrain.Report.t
   val session_stats : session -> stats
+  val resumable : session -> bool
 end
 
 type packed = Packed : (module S with type config = 'c) * 'c -> packed
@@ -63,31 +64,28 @@ let running_stats (Running ((module M), session)) = M.session_stats session
 let snapshot (Running ((module M), session)) =
   Marshal.to_string session [ Marshal.Closures ]
 
-let restore (Packed ((module M), _)) bytes =
-  Running ((module M), (Marshal.from_string bytes 0 : M.session))
+(* Every start unmarshals afresh, so a job the scheduler runs again (its
+   domain died) never continues a session another attempt already used. *)
+let resume (Packed ((module M), cfg)) bytes =
+  let restored () : M.session = Marshal.from_string bytes 0 in
+  if not (M.resumable (restored ())) then None
+  else
+    let module W = struct
+      include M
 
-let instrumented (Packed ((module M), cfg)) ~restore ~observe =
+      let create_session _ = restored ()
+    end in
+    Some (Packed ((module W), cfg))
+
+let instrumented (Packed ((module M), cfg)) ~observe =
   let module W = struct
-    type config = M.config
-    type session = M.session
-
-    let name = M.name
-    let default_config = M.default_config
-    let with_seed = M.with_seed
-    let seed = M.seed
-
-    let create_session cfg =
-      match restore with
-      | Some bytes -> (Marshal.from_string bytes 0 : M.session)
-      | None -> M.create_session cfg
+    include M
 
     let repair_case s case =
       let report = M.repair_case s case in
       observe case report (M.session_stats s)
-        ~snapshot:(Marshal.to_string s [ Marshal.Closures ]);
+        ~snapshot:(lazy (Marshal.to_string s [ Marshal.Closures ]));
       report
-
-    let session_stats = M.session_stats
   end in
   Packed ((module W), cfg)
 
@@ -95,20 +93,11 @@ exception Aborted of string
 
 let guarded (Packed ((module M), cfg)) ~before =
   let module W = struct
-    type config = M.config
-    type session = M.session
-
-    let name = M.name
-    let default_config = M.default_config
-    let with_seed = M.with_seed
-    let seed = M.seed
-    let create_session = M.create_session
+    include M
 
     let repair_case s case =
       before case;
       M.repair_case s case
-
-    let session_stats = M.session_stats
   end in
   Packed ((module W), cfg)
 

@@ -62,6 +62,15 @@ module type S = sig
 
   val session_stats : session -> stats
   (** Cumulative verification-cache traffic so far. *)
+
+  val resumable : session -> bool
+  (** Asked of a session just unmarshalled from a snapshot: may it carry
+      on in this process? A session is plain data, but it may refer to
+      state outside itself — the pipeline's persistent KB is a reference
+      to frozen rows on disk (see {!Knowledge.Kb}) — and [false] says that
+      state no longer holds what it held when the snapshot was taken. The
+      snapshot is then unusable and {!Checkpoint} recomputes the job.
+      Backends whose sessions refer to nothing outside answer [true]. *)
 end
 
 type packed = Packed : (module S with type config = 'c) * 'c -> packed
@@ -102,25 +111,33 @@ val running_stats : running -> stats
 val snapshot : running -> string
 (** Marshal the session (with closures; same-binary only — see {!S}). *)
 
-val restore : packed -> string -> running
-(** Rebuild a {!running} campaign from {!snapshot} bytes. The caller must
-    guarantee the bytes were produced by the same packed backend in the
-    same binary (the journal fingerprint enforces this); feeding foreign
-    bytes is undefined. *)
+val resume : packed -> string -> packed option
+(** [resume packed bytes] is [packed] with its session started from the
+    {!snapshot} [bytes] instead of created from the config, or [None] when
+    the backend finds the restored session not {!S.resumable}. The caller
+    must guarantee the bytes were produced by the same packed backend in
+    the same binary (the journal fingerprint enforces this); feeding
+    foreign bytes is undefined. *)
 
 val instrumented :
   packed ->
-  restore:string option ->
   observe:
-    (Dataset.Case.t -> Rustbrain.Report.t -> stats -> snapshot:string -> unit) ->
+    (Dataset.Case.t ->
+    Rustbrain.Report.t ->
+    stats ->
+    snapshot:string Lazy.t ->
+    unit) ->
   packed
-(** A runner that behaves exactly like [packed] except that (1) its session
-    starts from the marshaled [restore] bytes when given (same contract as
-    {!restore}), and (2) after every repaired case it calls [observe] with
-    the report, the cumulative session stats and a fresh session snapshot —
-    the hook {!Checkpoint} uses to journal each case as it completes. An
-    exception from [observe] propagates out of the repair (this is how the
-    chaos harness simulates a crash mid-campaign). *)
+(** A runner that behaves exactly like [packed] except that after every
+    repaired case it calls [observe] with the report, the cumulative
+    session stats and the session's {!snapshot} — lazily, so only an
+    observer that keeps it (the journal) pays for the marshal, and each
+    case marshals its session at most once per observer that forces it.
+    Force it before [observe] returns: the next case goes on mutating the
+    session the suspension marshals.
+    This is the hook {!Checkpoint} uses to journal each case as it
+    completes. An exception from [observe] propagates out of the repair
+    (this is how the chaos harness simulates a crash mid-campaign). *)
 
 exception Aborted of string
 (** Raised by watchdog-guarded runners (see {!guarded}) to stop a campaign

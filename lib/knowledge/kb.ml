@@ -6,26 +6,34 @@ type entry = {
   recommended : Repairs.Rule.fix_kind;
 }
 
-type persist = { dir : string; readonly : bool }
-
 (* Marshal-safety invariant: sessions snapshot their whole state with
-   [Marshal], so [t] may hold only plain data — the persistent store is
-   referenced by directory name and its writer (lock fd, tail fd) lives in
-   the process-global registry below, resolved on every learn. *)
+   [Marshal], so [t] holds only plain data. A persistent KB holds a
+   reference to its frozen rows, not the rows: the store directory, the
+   high-water id below which the rows were frozen, and a digest of those
+   rows. The rows (as a query store) and the writer a learn appends
+   through (lock fd, tail fd) live in the process-global registry below,
+   resolved on every query and learn. A session snapshot therefore costs
+   kilobytes whatever the slice's size, and a session restored in another
+   process resolves the same reference there — or finds, through the
+   digest, that the rows it named are gone. *)
+type slice_ref = {
+  dir : string;
+  readonly : bool;
+  high_water : int;  (* the frozen rows are those with smaller ids *)
+  digest : string;   (* of the frozen rows; see [add_row_digest] *)
+}
+
+type backing = In_memory of entry Store.t | Persistent of slice_ref
+
 type t = {
-  store : entry Store.t;   (* the query snapshot, frozen at open *)
+  backing : backing;
   clock : Rb_util.Simclock.t;
   query_cost : float;
-  persist : persist option;
-  q_base : int;            (* quarantined before the snapshot: load-time *)
+  q_base : int;  (* rows refused when the persistent rows were loaded *)
 }
 
 let create ?(query_cost = 3.0) ~clock () =
-  { store = Store.create (); clock; query_cost; persist = None; q_base = 0 }
-
-let size t = Store.size t.store
-let quarantined t = t.q_base + Store.quarantined t.store
-let persistent_dir t = Option.map (fun p -> p.dir) t.persist
+  { backing = In_memory (Store.create ()); clock; query_cost; q_base = 0 }
 
 (* -- entry codec -------------------------------------------------------- *)
 
@@ -104,20 +112,26 @@ let default_entries =
    give true single-writer semantics. Writers live until process exit; the
    tail log is fsynced per append, so there is nothing to flush.
 
-   The snapshot is frozen once per (process, directory) — NOT re-read per
-   open. Every session a process opens on the same store retrieves from
-   identical content, whatever has been learned meanwhile, which is what
-   makes campaigns independent of session-creation order: sequential and
-   domain-parallel schedules, and multi-seed sweeps, see the same KB and
-   produce byte-identical reports. New content is visible to the next
-   process (the next CLI invocation, the next worker). *)
-type shared = {
-  sh_writer : Segment.writer option;  (* None = read-only open *)
-  sh_records : Segment.record list;   (* the frozen snapshot *)
-  sh_quarantined : int;               (* load-time skips (read-only path) *)
+   The rows a fresh open sees are read once per (process, directory) — NOT
+   re-read per open. Every session a process opens on the same store
+   retrieves from identical content, whatever has been learned meanwhile,
+   which is what makes campaigns independent of session-creation order:
+   sequential and domain-parallel schedules, and multi-seed sweeps, see the
+   same KB and produce byte-identical reports. New content is visible to
+   the next process (the next CLI invocation, the next worker). *)
+type slice = {
+  writer : Segment.writer option;  (* None = read-only open *)
+  rows : Segment.record list;      (* what fresh opens see, id ascending *)
+  quarantined : int;               (* load-time skips (read-only path) *)
 }
 
-let registry : (string, shared) Hashtbl.t = Hashtbl.create 7
+(* The query store over the rows below one high-water id: built once per
+   (process, directory, high-water id), frozen, and shared read-only by
+   every session whose reference names it. *)
+type frozen = { store : entry Store.t; digest : string; undecodable : int }
+
+let slices : (string, slice) Hashtbl.t = Hashtbl.create 7
+let frozen_views : (string * int, frozen) Hashtbl.t = Hashtbl.create 7
 let registry_mu = Mutex.create ()
 
 let expect_stamp = (Featvec.dim, Featvec.version)
@@ -126,16 +140,16 @@ let with_registry f =
   Mutex.lock registry_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_mu) f
 
-(* Assumes [registry_mu] is held: every writer touch — open, seed, append,
-   snapshot — happens under the one mutex, because Segment writers are not
-   themselves thread-safe and serve's in-process mode runs several runner
+(* Assumes [registry_mu] is held: every writer touch — open, seed, append —
+   happens under the one mutex, because Segment writers are not themselves
+   thread-safe and a [--domains N] campaign runs sessions on several
    domains against the same store. A read-only entry is upgraded in place
    (a writer is attached) when a writable open or a learn needs one; its
-   frozen snapshot is never replaced. *)
-let locked_shared ~want_writer dir =
-  let current = Hashtbl.find_opt registry dir in
+   rows are never replaced. *)
+let locked_slice ~want_writer dir =
+  let current = Hashtbl.find_opt slices dir in
   match current with
-  | Some sh when (not want_writer) || Option.is_some sh.sh_writer -> Ok sh
+  | Some sl when (not want_writer) || Option.is_some sl.writer -> Ok sl
   | _ ->
     if want_writer then (
       match Segment.open_writer ~expect:expect_stamp ~dir () with
@@ -152,76 +166,170 @@ let locked_shared ~want_writer dir =
               | Ok _ -> ()
               | Error msg -> failwith ("Kb: seeding failed: " ^ msg))
             default_entries;
-        let sh =
+        let sl =
           match current with
-          | Some sh -> { sh with sh_writer = Some w }
-          | None ->
-            { sh_writer = Some w; sh_records = Segment.records w;
-              sh_quarantined = 0 }
+          | Some sl -> { sl with writer = Some w }
+          | None -> { writer = Some w; rows = Segment.records w; quarantined = 0 }
         in
-        Hashtbl.replace registry dir sh;
-        Ok sh)
+        Hashtbl.replace slices dir sl;
+        Ok sl)
     else (
       match Segment.load ~expect:expect_stamp dir with
       | Error e -> Error e
       | Ok r ->
-        let sh =
-          { sh_writer = None;
-            sh_records = r.records;
-            sh_quarantined = r.mismatched + r.corrupt_segments }
+        let sl =
+          { writer = None;
+            rows = r.records;
+            quarantined = r.mismatched + r.corrupt_segments }
         in
-        Hashtbl.replace registry dir sh;
-        Ok sh)
+        Hashtbl.replace slices dir sl;
+        Ok sl)
 
 let append_dir dir vec payload =
   with_registry (fun () ->
-      match locked_shared ~want_writer:true dir with
+      match locked_slice ~want_writer:true dir with
       | Error _ -> ()  (* the store went unwritable mid-session: drop *)
-      | Ok { sh_writer = Some w; _ } -> ignore (Segment.append w ~vec ~payload)
-      | Ok { sh_writer = None; _ } -> ())
+      | Ok { writer = Some w; _ } -> ignore (Segment.append w ~vec ~payload)
+      | Ok { writer = None; _ } -> ())
+
+let high_water rows =
+  List.fold_left (fun _ (r : Segment.record) -> r.Segment.id + 1) 0 rows
+
+(* The digest input of one row: id, vector and payload, so replacing,
+   dropping, inserting or reordering any row changes the digest of the
+   rows. A vector is its length and the (index, bits) of each non-zero
+   component — exact, and a fraction of the dense bytes for Featvec's
+   sparse vectors; a payload is the entry it decodes to (what queries
+   return), or its JSON text when it decodes to none. *)
+let add_row_digest b (r : Segment.record) entry =
+  let add_str s =
+    Buffer.add_int32_le b (Int32.of_int (String.length s));
+    Buffer.add_string b s
+  in
+  let v = r.Segment.vec in
+  Buffer.add_int64_le b (Int64.of_int r.Segment.id);
+  Buffer.add_uint16_le b (Array.length v);
+  (* a loop, not Array.iteri: the closure would box every component *)
+  for i = 0 to Array.length v - 1 do
+    let x = v.(i) in
+    if x <> 0.0 || Float.sign_bit x then begin
+      Buffer.add_uint16_le b i;
+      Buffer.add_int64_le b (Int64.bits_of_float x)
+    end
+  done;
+  Buffer.add_uint16_le b 0xffff;
+  match entry with
+  | Some e ->
+    add_str (Miri.Diag.kind_name e.category);
+    add_str e.advice;
+    add_str (Repairs.Rule.fix_kind_name e.recommended)
+  | None -> add_str (Json.to_string r.Segment.payload)
+
+(* Assumes [registry_mu] is held. [rows] must hold every row below
+   [high_water] that the directory holds. *)
+let locked_frozen dir high_water rows =
+  match Hashtbl.find_opt frozen_views (dir, high_water) with
+  | Some fz -> fz
+  | None ->
+    let store = Store.create ~dim:Featvec.dim () in
+    let b = Buffer.create (1 lsl 16) in
+    let undecodable = ref 0 in
+    List.iter
+      (fun (r : Segment.record) ->
+        if r.Segment.id < high_water then begin
+          let entry = entry_of_json r.Segment.payload in
+          add_row_digest b r entry;
+          match entry with
+          | Some e -> Store.add store r.Segment.vec e
+          | None -> incr undecodable
+        end)
+      rows;
+    Store.freeze store;
+    let digest = Digest.to_hex (Digest.string (Buffer.contents b)) in
+    let fz = { store; digest; undecodable = !undecodable } in
+    Hashtbl.replace frozen_views (dir, high_water) fz;
+    fz
+
+(* The frozen view a reference names, in this process. A reference from a
+   restored session may predate this process's rows for the directory
+   (they were read before the slice grew to its high-water id), and then
+   the directory is read again. *)
+let resolve r =
+  with_registry (fun () ->
+      match Hashtbl.find_opt frozen_views (r.dir, r.high_water) with
+      | Some fz -> Ok fz
+      | None -> (
+        match locked_slice ~want_writer:false r.dir with
+        | Error e -> Error e
+        | Ok sl ->
+          let rows =
+            if high_water sl.rows >= r.high_water then Ok sl.rows
+            else
+              match sl.writer with
+              | Some w -> Ok (Segment.records w)
+              | None ->
+                Result.map
+                  (fun (l : Segment.load_report) -> l.Segment.records)
+                  (Segment.load ~expect:expect_stamp r.dir)
+          in
+          Result.map (locked_frozen r.dir r.high_water) rows))
+
+let resolves t =
+  match t.backing with
+  | In_memory _ -> true
+  | Persistent r -> (
+    match resolve r with Ok fz -> fz.digest = r.digest | Error _ -> false)
+
+(* the store queries read; a reference that no longer resolves to its rows
+   is refused, never queried against other rows *)
+let view t =
+  match t.backing with
+  | In_memory store -> store
+  | Persistent r -> (
+    match resolve r with
+    | Ok fz when fz.digest = r.digest -> fz.store
+    | Ok _ ->
+      failwith
+        (Printf.sprintf "Kb: the rows of %s below id %d changed since they were frozen"
+           r.dir r.high_water)
+    | Error e -> failwith (Printf.sprintf "Kb: %s: %s" r.dir e))
+
+let size t = Store.size (view t)
+let quarantined t = t.q_base + Store.quarantined (view t)
+
+let persistent_dir t =
+  match t.backing with Persistent r -> Some r.dir | In_memory _ -> None
 
 (* -- construction ------------------------------------------------------- *)
 
 let learn t vec entry =
-  match t.persist with
-  | None -> Store.add t.store vec entry
-  | Some { readonly = true; _ } -> ()  (* frozen and unwritable: drop *)
-  | Some { dir; _ } ->
-    (* durably appended for future sessions; the open snapshot stays
-       frozen so seeded campaigns remain deterministic *)
+  match t.backing with
+  | In_memory store -> Store.add store vec entry
+  | Persistent { readonly = true; _ } -> ()  (* frozen and unwritable: drop *)
+  | Persistent { dir; _ } ->
+    (* durably appended for future sessions; the frozen rows stay as they
+       were so seeded campaigns remain deterministic *)
     append_dir dir vec (entry_to_json entry)
 
 let seed_default t =
-  match t.persist with
-  | Some _ -> ()  (* persistent stores are seeded once, at creation *)
-  | None ->
+  match t.backing with
+  | Persistent _ -> ()  (* persistent stores are seeded once, at creation *)
+  | In_memory _ ->
     List.iter
       (fun (category, advice, recommended) ->
         learn t (seed_vec category) { category; advice; recommended })
       default_entries
 
-let snapshot_of_records records =
-  let store = Store.create ~dim:Featvec.dim () in
-  let undecodable = ref 0 in
-  List.iter
-    (fun (r : Segment.record) ->
-      match entry_of_json r.Segment.payload with
-      | Some e -> Store.add store r.Segment.vec e
-      | None -> incr undecodable)
-    records;
-  (store, !undecodable)
-
 let open_dir ?(query_cost = 3.0) ?(readonly = false) ~dir ~clock () =
-  match
-    with_registry (fun () -> locked_shared ~want_writer:(not readonly) dir)
-  with
-  | Error e -> Error e
-  | Ok sh ->
-    let store, undecodable = snapshot_of_records sh.sh_records in
-    Ok
-      { store; clock; query_cost;
-        persist = Some { dir; readonly };
-        q_base = sh.sh_quarantined + undecodable }
+  with_registry (fun () ->
+      Result.map
+        (fun sl ->
+          let high_water = high_water sl.rows in
+          let fz = locked_frozen dir high_water sl.rows in
+          { backing = Persistent { dir; readonly; high_water; digest = fz.digest };
+            clock; query_cost;
+            q_base = sl.quarantined + fz.undecodable })
+        (locked_slice ~want_writer:(not readonly) dir))
 
 (* -- retrieval ---------------------------------------------------------- *)
 
@@ -229,8 +337,9 @@ let max_hits = 8
 let hit_threshold = 0.35
 
 let query t vec =
+  let found = Store.search (view t) vec ~k:max_hits in
   let hits =
-    Store.query_ids t.store vec ~k:max_hits
+    found.Store.hits
     |> List.filter (fun (s, _, _) -> s > hit_threshold)
     |> List.map (fun (s, _, e) -> (s, e))
   in
@@ -240,7 +349,7 @@ let query t vec =
      cost (and on a small exact scan this is precisely the old
      query_cost + 0.05 * size). *)
   Rb_util.Simclock.charge t.clock
-    (t.query_cost +. (0.05 *. float_of_int (Store.scanned_last t.store)));
+    (t.query_cost +. (0.05 *. float_of_int found.Store.scanned));
   hits
 
 let hints_text hits =

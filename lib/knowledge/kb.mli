@@ -11,13 +11,21 @@
     A knowledge base is either {e in-memory} ({!create}: private to the
     session, seeded by {!seed_default}) or {e persistent} ({!open_dir}: a
     {!Segment} store on disk, shared across campaigns and serve tenants).
-    A persistent KB is {e frozen at open}: queries see the snapshot loaded
+    A persistent KB is {e frozen at open}: queries see the rows loaded
     from disk for the whole session — so seeded campaigns stay
     deterministic however many learns happen meanwhile — while {!learn}
-    appends durably for {e future} sessions to retrieve. The handle itself
-    stays Marshal-safe (sessions are snapshotted with [Marshal]): file
-    descriptors and locks live in a process-global registry keyed by the
-    store directory, never inside [t]. *)
+    appends durably for {e future} sessions to retrieve.
+
+    The handle stays Marshal-safe and small (sessions are snapshotted with
+    [Marshal] after every journaled case): a persistent [t] is a
+    {e reference} to its frozen rows — the store directory, the high-water
+    id below which the rows were frozen, and a digest of those rows' ids,
+    vectors and payloads in row order — never the rows. The rows, as one
+    read-only query store per (process, directory, high-water id), and the
+    writer's file descriptors and lock live in a process-global registry.
+    A session unmarshalled in another process resolves its reference
+    there: {!resolves} tells whether the rows below the high-water id still
+    digest the same (rows appended since do not matter). *)
 
 type entry = {
   category : Miri.Diag.ub_kind;
@@ -64,6 +72,14 @@ val quarantined : t -> int
 
 val persistent_dir : t -> string option
 (** The backing store directory, when {!open_dir} made this KB. *)
+
+val resolves : t -> bool
+(** Whether [t]'s frozen rows can still be queried in this process: true
+    for an in-memory KB; for a persistent one, true when the rows below
+    its high-water id — as this process sees them, read from disk if it
+    has not read that far yet — digest as they did at open. {!query},
+    {!size} and {!quarantined} raise [Failure] on a persistent KB that
+    does not resolve. *)
 
 val max_hits : int
 (** Queries return at most this many hits (8). *)

@@ -308,6 +308,9 @@ let search_indexed t q ~k =
     end
   end
 
+let freeze t =
+  if t.n >= indexed_threshold && t.index = None then ignore (build_index t : index)
+
 let search ?domains ?(threshold = indexed_threshold) t q ~k =
   if t.n >= threshold then search_indexed t q ~k
   else search_exact ?domains t q ~k

@@ -61,6 +61,11 @@ val search : ?domains:int -> ?threshold:int -> t -> float array -> k:int -> resu
 (** {!search_exact} below [threshold] (default {!indexed_threshold}) rows,
     {!search_indexed} at or above it. *)
 
+val freeze : t -> unit
+(** Build the bucketed index now if a {!search} at the default threshold
+    would use it. Until the next {!add}, such searches then only read [t],
+    so one store may serve them from several domains at once. *)
+
 val scores : ?domains:int -> t -> float array -> floatarray
 (** All scores in row order (the exact scoring pass without selection);
     used for threshold-style queries that must consider every row. *)

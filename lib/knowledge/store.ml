@@ -8,17 +8,16 @@ type 'a t = {
   mutable payloads : 'a array; (* row -> payload; length >= size *)
   mutable n : int;
   mutable quarantined : int;
-  mutable scanned_last : int;
 }
 
 let create ?dim () =
   { knn = Option.map (fun d -> Knn.create ~dim:d) dim;
-    payloads = [||]; n = 0; quarantined = 0; scanned_last = 0 }
+    payloads = [||]; n = 0; quarantined = 0 }
 
 let size t = t.n
 let quarantined t = t.quarantined
 let dim t = Option.map Knn.dim t.knn
-let scanned_last t = t.scanned_last
+let freeze t = Option.iter Knn.freeze t.knn
 
 let add t vec payload =
   let knn =
@@ -49,46 +48,31 @@ let entries t =
   | None -> []
   | Some knn -> List.init t.n (fun i -> (i, Knn.get knn i, t.payloads.(i)))
 
-let query_ids ?domains t vec ~k =
+type 'a found = { hits : (float * int * 'a) list; scanned : int }
+
+let search ?domains t vec ~k =
   match t.knn with
-  | None ->
-    t.scanned_last <- 0;
-    []
-  | Some knn ->
-    if Array.length vec <> Knn.dim knn then begin
-      t.scanned_last <- 0;
-      []
-    end
-    else begin
-      let r = Knn.search ?domains knn vec ~k in
-      t.scanned_last <- r.Knn.scanned;
-      List.map (fun (s, row) -> (s, row, t.payloads.(row))) r.Knn.hits
-    end
+  | Some knn when Array.length vec = Knn.dim knn ->
+    let r = Knn.search ?domains knn vec ~k in
+    { hits = List.map (fun (s, row) -> (s, row, t.payloads.(row))) r.Knn.hits;
+      scanned = r.Knn.scanned }
+  | _ -> { hits = []; scanned = 0 }
 
 let query ?domains t vec ~k =
-  List.map (fun (s, _, p) -> (s, p)) (query_ids ?domains t vec ~k)
+  List.map (fun (s, _, p) -> (s, p)) (search ?domains t vec ~k).hits
 
 let query_above t vec ~threshold =
   match t.knn with
-  | None ->
-    t.scanned_last <- 0;
-    []
-  | Some knn ->
-    if Array.length vec <> Knn.dim knn then begin
-      t.scanned_last <- 0;
-      []
-    end
-    else begin
-      let sc = Knn.scores knn vec in
-      t.scanned_last <- t.n;
-      let hits = ref [] in
-      (* rows descending so the accumulated list comes out id-ascending,
-         ready for the stable by-score sort *)
-      for row = t.n - 1 downto 0 do
-        let s = Float.Array.get sc row in
-        if s > threshold then hits := (s, row) :: !hits
-      done;
-      !hits
-      |> List.stable_sort (fun (a, _) (b, _) -> compare (b : float) a)
-      |> List.map (fun (s, row) -> (s, t.payloads.(row)))
-    end
+  | Some knn when Array.length vec = Knn.dim knn ->
+    let sc = Knn.scores knn vec in
+    let hits = ref [] in
+    (* rows descending so the accumulated list comes out id-ascending,
+       ready for the stable by-score sort *)
+    for row = t.n - 1 downto 0 do
+      let s = Float.Array.get sc row in
+      if s > threshold then hits := (s, row) :: !hits
+    done;
+    !hits
+    |> List.stable_sort (fun (a, _) (b, _) -> compare (b : float) a)
+    |> List.map (fun (s, row) -> (s, t.payloads.(row)))
+  | _ -> []

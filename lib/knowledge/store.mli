@@ -35,20 +35,32 @@ val dim : 'a t -> int option
 val entries : 'a t -> (int * float array * 'a) list
 (** All live entries as [(id, vector, payload)], id ascending. *)
 
-val query : ?domains:int -> 'a t -> float array -> k:int -> (float * 'a) list
-(** Top-[k] entries by cosine similarity, best first; ties break toward
-    the earlier insertion. [domains] parallelizes the exact scan (results
-    byte-identical to sequential). *)
+type 'a found = {
+  hits : (float * int * 'a) list;
+      (** (similarity, id, payload), best first, ties toward the earlier
+          insertion *)
+  scanned : int;
+      (** rows the query actually scored — [size] for an exact scan, fewer
+          when the bucketed index pruned; feeds the knowledge base's
+          size-dependent simulated-cost model *)
+}
 
-val query_ids : ?domains:int -> 'a t -> float array -> k:int -> (float * int * 'a) list
-(** {!query} with each hit's id. *)
+val search : ?domains:int -> 'a t -> float array -> k:int -> 'a found
+(** Top-[k] entries by cosine similarity, through the bucketed index on
+    stores of {!Knn.indexed_threshold} rows or more ({!Knn.search}).
+    [domains] parallelizes the exact scan; results are byte-identical
+    either way. A query keeps no state of its own in the store, so one
+    store may serve several domains once {!freeze}d. *)
+
+val query : ?domains:int -> 'a t -> float array -> k:int -> (float * 'a) list
+(** {!search}'s hits without ids. *)
 
 val query_above : 'a t -> float array -> threshold:float -> (float * 'a) list
 (** All entries whose similarity exceeds [threshold], best first, ties
     insertion-stable. Always a full scan: a threshold admits arbitrarily
     many hits, so there is nothing for an index to prune. *)
 
-val scanned_last : 'a t -> int
-(** Rows the most recent query actually scored — [size] for an exact
-    scan, fewer when the bucketed index pruned. Feeds the knowledge
-    base's size-dependent simulated-cost model. *)
+val freeze : 'a t -> unit
+(** Build the retrieval index now if {!search} would use it
+    ({!Knn.freeze}). After this, and until the next {!add}, {!search},
+    {!query} and {!query_above} write nothing into the store. *)

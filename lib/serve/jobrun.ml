@@ -67,7 +67,8 @@ type outcome = {
    crash between the two can re-send a case after resume (at-least-once
    streaming); the durable results file is exactly-once. Seq is derived
    from the case's position, not a counter, so resumed remainders keep
-   their absolute positions. *)
+   their absolute positions; the position is looked up by name, which is
+   why the server refuses a job that lists a case twice. *)
 let execute ~backend ~case_names ~opts ~label ~journal_dir ~domains ~before
     ~cancel ~observe () =
   try
@@ -112,7 +113,7 @@ let execute ~backend ~case_names ~opts ~label ~journal_dir ~domains ~before
             Exec.Scheduler.runner =
               Exec.Runner.instrumented
                 (Exec.Runner.guarded j.Exec.Scheduler.runner ~before)
-                ~restore:None ~observe:obs })
+                ~observe:obs })
         jobs
     in
     let run mode =

@@ -13,6 +13,8 @@ type config = {
   tenants : int;           (** concurrent client domains *)
   jobs_per_tenant : int;
   cases_per_job : int;
+      (** at most the corpus size: a job lists distinct cases, and the
+          server rejects one that names a case twice *)
   backend : string;
   opts : Exec.Campaign_opts.t option;  (** [None] = server defaults *)
   timeout_s : float;       (** per-receive patience *)

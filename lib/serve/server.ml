@@ -252,37 +252,38 @@ let handle_submit t conn ~tenant ~backend ~cases ~opts =
            retry_after_ms = retry_after_ms t })
   end
   else begin
+    let reject reason =
+      t.rejected <- t.rejected + 1;
+      metric_inc t "serve.rejected";
+      send t conn (Wire.Rejected { reason })
+    in
     let opts = Option.value ~default:t.cfg.default_opts opts in
     let case_names = Option.value ~default:(corpus_names ()) cases in
     let unknown =
       List.filter (fun n -> Dataset.Corpus.find n = None) case_names
     in
+    (* a job's CASE frames are numbered by case name, so a name listed
+       twice would stream two reports under one seq *)
+    let repeated =
+      let seen = Hashtbl.create 16 in
+      List.sort_uniq compare
+        (List.filter
+           (fun n -> Hashtbl.mem seen n || (Hashtbl.add seen n (); false))
+           case_names)
+    in
     match Exec.Campaign_opts.validate opts with
-    | Error reason ->
-      t.rejected <- t.rejected + 1;
-      metric_inc t "serve.rejected";
-      send t conn (Wire.Rejected { reason })
+    | Error reason -> reject reason
     | Ok opts ->
-      if case_names = [] then begin
-        t.rejected <- t.rejected + 1;
-        metric_inc t "serve.rejected";
-        send t conn (Wire.Rejected { reason = "empty case list" })
-      end
-      else if unknown <> [] then begin
-        t.rejected <- t.rejected + 1;
-        metric_inc t "serve.rejected";
-        send t conn
-          (Wire.Rejected
-             { reason =
-                 Printf.sprintf "unknown case(s): %s"
-                   (String.concat ", " unknown) })
-      end
+      if case_names = [] then reject "empty case list"
+      else if unknown <> [] then
+        reject (Printf.sprintf "unknown case(s): %s" (String.concat ", " unknown))
+      else if repeated <> [] then
+        reject
+          (Printf.sprintf "case(s) listed more than once: %s"
+             (String.concat ", " repeated))
       else begin
         match Exec.Campaign_opts.runner opts ~backend with
-        | Error reason ->
-          t.rejected <- t.rejected + 1;
-          metric_inc t "serve.rejected";
-          send t conn (Wire.Rejected { reason })
+        | Error reason -> reject reason
         | Ok _ ->
           let cost = List.length case_names * List.length opts.seeds in
           (* admission-control decision first: only an admitted job is

@@ -62,7 +62,9 @@ type request =
   | Submit of {
       tenant : string;
       backend : string;
-      cases : string list option;  (** [None] = whole corpus *)
+      cases : string list option;
+          (** [None] = whole corpus; the server answers {!Rejected} for an
+              unknown case or a case listed twice *)
       opts : Exec.Campaign_opts.t option;
           (** wire subset; [None] = the server's configured defaults *)
     }

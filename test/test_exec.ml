@@ -98,6 +98,7 @@ module Crashy = struct
   let create_session _cfg = ()
   let repair_case () _case : Rustbrain.Report.t = failwith "boom"
   let session_stats () = Exec.Runner.no_stats
+  let resumable () = true
 end
 
 let mixed_jobs cases =

@@ -246,7 +246,9 @@ let test_snapshot_restore_determinism () =
      (tokens, RNG streams, feedback), so this is the property resume
      correctness stands on *)
   let r_live = Exec.Runner.step live b in
-  let restored = Exec.Runner.restore runner frozen in
+  let restored =
+    Exec.Runner.start (Option.get (Exec.Runner.resume runner frozen))
+  in
   let r_restored = Exec.Runner.step restored b in
   Alcotest.(check string) "restored session continues identically"
     (Rustbrain.Report.to_json r_live)
@@ -338,6 +340,79 @@ let test_checkpoint_truncated_tail_recomputes () =
       Alcotest.(check int) "healed journal fully replays" 0
         o2.Exec.Checkpoint.recomputed)
 
+(* -- snapshot size ---------------------------------------------------------- *)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let test_snapshot_size_independent_of_kb () =
+  (* a session on a persistent KB snapshots a reference to the frozen rows,
+     never the rows: two cases against a 2,000-row slice journal a
+     snapshot of kilobytes *)
+  let root = Filename.temp_file "rustbrain-test-snap" "" in
+  Sys.remove root;
+  Fun.protect
+    ~finally:(fun () -> try rm_rf root with Sys_error _ -> ())
+    (fun () ->
+      let slice = Filename.concat root "kb" in
+      let journal = Filename.concat root "journal" in
+      (match
+         Knowledge.Segment.open_writer
+           ~expect:(Knowledge.Featvec.dim, Knowledge.Featvec.version)
+           ~dir:slice ()
+       with
+      | Error e -> Alcotest.fail e
+      | Ok (w, _) ->
+        let kinds = Array.of_list Miri.Diag.all_kinds in
+        let hash_dim = Knowledge.Featvec.hash_dim in
+        for i = 0 to 1999 do
+          let category = kinds.(i mod Array.length kinds) in
+          let vec = Array.make Knowledge.Featvec.dim 0.0 in
+          vec.(i mod hash_dim) <- 1.0;
+          vec.(hash_dim + Knowledge.Featvec.category_index category) <- 2.0;
+          let payload =
+            Knowledge.Kb.entry_to_json
+              { Knowledge.Kb.category;
+                advice = Printf.sprintf "row %d" i;
+                recommended = Repairs.Rule.Modify }
+          in
+          match Knowledge.Segment.append w ~vec ~payload with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail e
+        done;
+        Knowledge.Segment.close w);
+      let a, b = two_cases () in
+      let runner =
+        Exec.Backends.rustbrain
+          ~config:
+            { Rustbrain.Pipeline.default_config with
+              Rustbrain.Pipeline.kb_dir = Some slice;
+              kb_readonly = true }
+          ()
+      in
+      let o =
+        Exec.Checkpoint.run ~domains:1 ~dir:journal ~mode:Exec.Checkpoint.Fresh
+          (Exec.Scheduler.seeded_jobs runner ~seeds:[ 1 ] [ a; b ])
+      in
+      Alcotest.(check int) "both cases repaired" 2
+        (List.length (render o.Exec.Checkpoint.results));
+      let snaps =
+        List.filter
+          (fun f -> String.starts_with ~prefix:"snap-" f)
+          (Array.to_list (Sys.readdir journal))
+      in
+      Alcotest.(check int) "one snapshot" 1 (List.length snaps);
+      List.iter
+        (fun f ->
+          let size = (Unix.stat (Filename.concat journal f)).Unix.st_size in
+          if size >= 64 * 1024 then
+            Alcotest.failf "%s is %d B, want under 64 KB" f size)
+        snaps)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "of_json rejects garbage" `Quick test_of_json_rejects_garbage;
@@ -352,4 +427,6 @@ let suite =
     Alcotest.test_case "fingerprint mismatch refused" `Quick
       test_checkpoint_fingerprint_mismatch;
     Alcotest.test_case "truncated tail recomputed" `Quick
-      test_checkpoint_truncated_tail_recomputes ]
+      test_checkpoint_truncated_tail_recomputes;
+    Alcotest.test_case "snapshot size independent of the KB's" `Quick
+      test_snapshot_size_independent_of_kb ]

@@ -155,7 +155,8 @@ let test_store_tie_insertion_order () =
   let store = Knowledge.Store.create () in
   let v = [| 0.6; 0.8 |] in
   List.iter (fun i -> Knowledge.Store.add store v i) [ 0; 1; 2 ];
-  let ids = List.map (fun (_, id, _) -> id) (Knowledge.Store.query_ids store v ~k:3) in
+  let found = Knowledge.Store.search store v ~k:3 in
+  let ids = List.map (fun (_, id, _) -> id) found.Knowledge.Store.hits in
   Alcotest.(check (list int)) "ties break toward earlier insertion" [ 0; 1; 2 ] ids;
   let above = List.map snd (Knowledge.Store.query_above store v ~threshold:0.5) in
   Alcotest.(check (list int)) "query_above is insertion-stable too" [ 0; 1; 2 ] above
@@ -425,6 +426,44 @@ let test_knn_parallel_bitwise () =
       Alcotest.fail "parallel hits differ from sequential"
   done
 
+let test_store_shared_across_domains () =
+  (* one frozen store serving several sessions keeps no per-query state:
+     two domains querying it at once see exactly what one domain sees
+     querying alone — the same hits and the same scanned counts, from
+     which the knowledge base computes its simulated charge. The store is
+     just big enough for searches to go through the bucketed index. *)
+  let dim = 12 and ncat = 4 and n = Knowledge.Knn.indexed_threshold in
+  let rng = Rb_util.Rng.create 0x5ea in
+  let synth cat =
+    let v = Array.make dim 0.0 in
+    for _ = 1 to 3 do
+      v.(Rb_util.Rng.int rng (dim - ncat)) <- Rb_util.Rng.float rng
+    done;
+    v.(dim - ncat + cat) <- 2.0;
+    v
+  in
+  let store = Knowledge.Store.create ~dim () in
+  for i = 0 to n - 1 do
+    Knowledge.Store.add store (synth (i mod ncat)) i
+  done;
+  Knowledge.Store.freeze store;
+  let queries = List.init 60 (fun i -> synth (i mod ncat)) in
+  let run qs =
+    List.map
+      (fun q ->
+        let f = Knowledge.Store.search store q ~k:8 in
+        (f.Knowledge.Store.hits, f.Knowledge.Store.scanned))
+      qs
+  in
+  let alone = run queries and alone_rev = run (List.rev queries) in
+  let d1 = Domain.spawn (fun () -> run queries) in
+  let d2 = Domain.spawn (fun () -> run (List.rev queries)) in
+  let together = Domain.join d1 and together_rev = Domain.join d2 in
+  Alcotest.(check bool) "domain 1 agrees with a lone run" true (together = alone);
+  Alcotest.(check bool) "domain 2 agrees with a lone run" true (together_rev = alone_rev);
+  Alcotest.(check bool) "the index pruned rows" true
+    (List.exists (fun (_, scanned) -> scanned < n) alone)
+
 let suite =
   [ Alcotest.test_case "prune keeps unsafe" `Quick test_prune_keeps_unsafe;
     Alcotest.test_case "prune drops noise" `Quick test_prune_drops_counted;
@@ -451,4 +490,6 @@ let suite =
     Alcotest.test_case "kb snapshot frozen in-process" `Quick test_kb_snapshot_frozen_in_process;
     QCheck_alcotest.to_alcotest prop_exact_equals_indexed;
     QCheck_alcotest.to_alcotest prop_exact_equals_indexed_featvec;
-    Alcotest.test_case "knn parallel scan bit-identical" `Quick test_knn_parallel_bitwise ]
+    Alcotest.test_case "knn parallel scan bit-identical" `Quick test_knn_parallel_bitwise;
+    Alcotest.test_case "store shared by domains keeps no query state" `Quick
+      test_store_shared_across_domains ]
