@@ -1,6 +1,6 @@
-(* Flat-array k-NN with an exact chunked-parallel scan and an exactly
-   equivalent bucketed (inverted) index for large stores. See knn.mli for
-   the contract; the invariants that matter:
+(* Flat-array k-NN with an exact scan and an exactly equivalent bucketed
+   (inverted) index for large stores. See knn.mli for the contract; the
+   invariants that matter:
 
    - scoring reproduces Featvec.cosine bit-for-bit (same accumulation
      order, same final expression), so retrieval results are identical to
@@ -94,31 +94,6 @@ let score_row t q na row =
     !dot /. (sqrt na *. sqrt nb)
   end
 
-let score_range t q na out lo hi =
-  for row = lo to hi - 1 do
-    Float.Array.set out row (score_row t q na row)
-  done
-
-let scores ?(domains = 1) t q =
-  let na = query_sqnorm t q in
-  let out = Float.Array.make t.n 0.0 in
-  let d = min (max 1 domains) (max 1 t.n) in
-  (* below this the spawn cost swamps the scan; identical results either
-     way, so the cutoff is pure performance policy *)
-  if d > 1 && t.n >= 4096 then begin
-    let chunk = (t.n + d - 1) / d in
-    let workers =
-      List.init (d - 1) (fun i ->
-          let lo = (i + 1) * chunk in
-          let hi = min t.n (lo + chunk) in
-          Domain.spawn (fun () -> score_range t q na out lo (max lo hi)))
-    in
-    score_range t q na out 0 (min chunk t.n);
-    List.iter Domain.join workers
-  end
-  else score_range t q na out 0 t.n;
-  out
-
 (* -- top-k selection --------------------------------------------------- *)
 
 (* (score desc, row asc) is the one total order every path shares. *)
@@ -152,13 +127,13 @@ let heap_hits h = List.init h.m (fun i -> (h.hs.(i), h.hr.(i)))
 
 type result = { hits : (float * int) list; scanned : int }
 
-let search_exact ?domains t q ~k =
+let search_exact t q ~k =
   if k <= 0 || t.n = 0 then { hits = []; scanned = 0 }
   else begin
-    let sc = scores ?domains t q in
+    let na = query_sqnorm t q in
     let h = heap_create (min k t.n) in
     for row = 0 to t.n - 1 do
-      heap_offer h (Float.Array.get sc row) row
+      heap_offer h (score_row t q na row) row
     done;
     { hits = heap_hits h; scanned = t.n }
   end
@@ -311,6 +286,6 @@ let search_indexed t q ~k =
 let freeze t =
   if t.n >= indexed_threshold && t.index = None then ignore (build_index t : index)
 
-let search ?domains ?(threshold = indexed_threshold) t q ~k =
-  if t.n >= threshold then search_indexed t q ~k
-  else search_exact ?domains t q ~k
+let search t q ~k =
+  if t.n >= indexed_threshold then search_indexed t q ~k
+  else search_exact t q ~k

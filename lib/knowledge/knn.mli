@@ -5,10 +5,7 @@
     Two search strategies share one scoring loop and one total result
     order — cosine score descending, then row (insertion order) ascending:
 
-    - {b exact}: score every row. The scoring pass can be chunked across
-      OCaml domains; chunks write disjoint slices of one score array and
-      selection runs single-threaded afterwards, so the parallel result is
-      byte-identical to the sequential one.
+    - {b exact}: score every row.
     - {b indexed}: an inverted index buckets rows by their dominant
       component (for {!Featvec} vectors with a category, that is exactly
       the category one-hot block), with a per-bucket component-wise
@@ -44,9 +41,8 @@ type result = {
   scanned : int;  (** rows actually scored — the work the query did *)
 }
 
-val search_exact : ?domains:int -> t -> float array -> k:int -> result
-(** Top-[k] by full scan. [domains] > 1 chunks the scoring pass across
-    that many OCaml domains (results byte-identical to [domains = 1]). *)
+val search_exact : t -> float array -> k:int -> result
+(** Top-[k] by full scan. *)
 
 val search_indexed : t -> float array -> k:int -> result
 (** Top-[k] through the bucketed index (built lazily, kept until the next
@@ -57,15 +53,11 @@ val indexed_threshold : int
 (** Store size at which {!search} switches to the bucketed index (10^5 —
     below it the flat scan's locality wins). *)
 
-val search : ?domains:int -> ?threshold:int -> t -> float array -> k:int -> result
-(** {!search_exact} below [threshold] (default {!indexed_threshold}) rows,
-    {!search_indexed} at or above it. *)
+val search : t -> float array -> k:int -> result
+(** {!search_exact} below {!indexed_threshold} rows, {!search_indexed} at
+    or above it. *)
 
 val freeze : t -> unit
-(** Build the bucketed index now if a {!search} at the default threshold
-    would use it. Until the next {!add}, such searches then only read [t],
-    so one store may serve them from several domains at once. *)
-
-val scores : ?domains:int -> t -> float array -> floatarray
-(** All scores in row order (the exact scoring pass without selection);
-    used for threshold-style queries that must consider every row. *)
+(** Build the bucketed index now if {!search} would use it. Until the
+    next {!add}, searches then only read [t], so one store may serve them
+    from several domains at once. *)

@@ -50,29 +50,12 @@ let entries t =
 
 type 'a found = { hits : (float * int * 'a) list; scanned : int }
 
-let search ?domains t vec ~k =
+let search t vec ~k =
   match t.knn with
   | Some knn when Array.length vec = Knn.dim knn ->
-    let r = Knn.search ?domains knn vec ~k in
+    let r = Knn.search knn vec ~k in
     { hits = List.map (fun (s, row) -> (s, row, t.payloads.(row))) r.Knn.hits;
       scanned = r.Knn.scanned }
   | _ -> { hits = []; scanned = 0 }
 
-let query ?domains t vec ~k =
-  List.map (fun (s, _, p) -> (s, p)) (search ?domains t vec ~k).hits
-
-let query_above t vec ~threshold =
-  match t.knn with
-  | Some knn when Array.length vec = Knn.dim knn ->
-    let sc = Knn.scores knn vec in
-    let hits = ref [] in
-    (* rows descending so the accumulated list comes out id-ascending,
-       ready for the stable by-score sort *)
-    for row = t.n - 1 downto 0 do
-      let s = Float.Array.get sc row in
-      if s > threshold then hits := (s, row) :: !hits
-    done;
-    !hits
-    |> List.stable_sort (fun (a, _) (b, _) -> compare (b : float) a)
-    |> List.map (fun (s, row) -> (s, t.payloads.(row)))
-  | _ -> []
+let query t vec ~k = List.map (fun (s, _, p) -> (s, p)) (search t vec ~k).hits

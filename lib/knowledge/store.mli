@@ -4,9 +4,9 @@
     ranks by (similarity descending, id ascending) — so equal-score hits
     surface in insertion order, pinned by test, instead of whatever order
     an internal list happened to accumulate. Retrieval runs on {!Knn}
-    (flat-array exact scan, optionally domain-parallel; bucketed index on
-    large stores), whose results are bit-compatible with the historical
-    per-entry {!Featvec.cosine} scan.
+    (flat-array exact scan; bucketed index on large stores), whose results
+    are bit-compatible with the historical per-entry {!Featvec.cosine}
+    scan.
 
     The store's dimension is fixed by the first vector added (or by
     [?dim]); a vector of any other dimension is {e quarantined} — counted
@@ -45,22 +45,16 @@ type 'a found = {
           size-dependent simulated-cost model *)
 }
 
-val search : ?domains:int -> 'a t -> float array -> k:int -> 'a found
+val search : 'a t -> float array -> k:int -> 'a found
 (** Top-[k] entries by cosine similarity, through the bucketed index on
-    stores of {!Knn.indexed_threshold} rows or more ({!Knn.search}).
-    [domains] parallelizes the exact scan; results are byte-identical
-    either way. A query keeps no state of its own in the store, so one
-    store may serve several domains once {!freeze}d. *)
+    stores of {!Knn.indexed_threshold} rows or more ({!Knn.search}). A
+    query keeps no state of its own in the store, so one store may serve
+    several domains once {!freeze}d. *)
 
-val query : ?domains:int -> 'a t -> float array -> k:int -> (float * 'a) list
+val query : 'a t -> float array -> k:int -> (float * 'a) list
 (** {!search}'s hits without ids. *)
-
-val query_above : 'a t -> float array -> threshold:float -> (float * 'a) list
-(** All entries whose similarity exceeds [threshold], best first, ties
-    insertion-stable. Always a full scan: a threshold admits arbitrarily
-    many hits, so there is nothing for an index to prune. *)
 
 val freeze : 'a t -> unit
 (** Build the retrieval index now if {!search} would use it
-    ({!Knn.freeze}). After this, and until the next {!add}, {!search},
-    {!query} and {!query_above} write nothing into the store. *)
+    ({!Knn.freeze}). After this, and until the next {!add}, {!search} and
+    {!query} write nothing into the store. *)

@@ -28,14 +28,9 @@ let null () =
     close_fn = ignore;
     closed = false }
 
-let memory ?ring ?(wall = false) () =
+let memory ?(wall = false) () =
   let q = Queue.create () in
-  let emit_rec r =
-    Queue.push r q;
-    match ring with
-    | Some cap when Queue.length q > cap -> ignore (Queue.pop q)
-    | _ -> ()
-  in
+  let emit_rec r = Queue.push r q in
   ( { now = (fun () -> 0.); wall; emit_rec; close_fn = ignore; closed = false },
     fun () -> List.of_seq (Queue.to_seq q) )
 

@@ -35,9 +35,8 @@ val null : unit -> t
 (** Swallows every record. The ambient default is no sink at all, so this
     exists mainly for tests and tee partners. *)
 
-val memory : ?ring:int -> ?wall:bool -> unit -> t * (unit -> record list)
-(** In-memory buffer and a getter returning records in emission order.
-    [ring] bounds it (oldest dropped); unbounded by default. *)
+val memory : ?wall:bool -> unit -> t * (unit -> record list)
+(** In-memory buffer and a getter returning records in emission order. *)
 
 val file : ?wall:bool -> string -> t
 (** Buffers JSONL lines; {!close} writes the file atomically via

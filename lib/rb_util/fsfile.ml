@@ -26,13 +26,14 @@ let write_channel path emit =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let oc = open_out_bin tmp in
   (* Any failure before the rename — the writer itself, but also flush,
-     close or the rename (ENOSPC, EROFS, quota) — must not leave the tmp
-     file beside the target; remove it and re-raise the original. *)
+     fsync, close or the rename (ENOSPC, EIO, EROFS, quota) — must not
+     leave the tmp file beside the target; remove it and re-raise the
+     original. A failed file fsync is a failed write: the caller must not
+     acknowledge bytes that may never reach the disk. *)
   (match
      emit oc;
      flush oc;
-     (try Unix.fsync (Unix.descr_of_out_channel oc)
-      with Unix.Unix_error _ -> ());
+     Unix.fsync (Unix.descr_of_out_channel oc);
      close_out oc
    with
   | () -> ()

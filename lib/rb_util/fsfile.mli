@@ -30,7 +30,9 @@ val write_channel : string -> (out_channel -> unit) -> unit
 (** [write_channel path emit] like {!write_atomic} but streams through an
     [out_channel], so a large report never has to be concatenated in
     memory; [emit] writes the content, the helper fsyncs and renames. If
-    [emit] raises, the temporary file is removed and [path] is untouched. *)
+    [emit], the flush, the file fsync, the close or the rename raises,
+    the temporary file is removed, [path] is untouched and the exception
+    propagates. *)
 
 val read : string -> string option
 (** Whole-file read; [None] when the file does not exist or is unreadable. *)

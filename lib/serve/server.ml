@@ -242,6 +242,19 @@ let worker_pids t =
 let corpus_names () =
   List.map (fun (c : Dataset.Case.t) -> c.Dataset.Case.name) Dataset.Corpus.all
 
+(* A durable store write that fails (disk full, EIO, a record path
+   blocked by a directory) fails only the request that needed it: the
+   client gets ERROR naming the failure, and the server keeps serving *)
+let durably f =
+  match f () with
+  | v -> Ok v
+  | exception Sys_error m -> Error m
+  | exception Unix.Unix_error (e, fn, arg) ->
+    Error (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e))
+
+let store_failed t conn what reason =
+  send t conn (Wire.Error_msg (Printf.sprintf "%s not durable: %s" what reason))
+
 let handle_submit t conn ~tenant ~backend ~cases ~opts =
   if t.shutting_down || t.draining then begin
     t.busy <- t.busy + 1;
@@ -309,31 +322,38 @@ let handle_submit t conn ~tenant ~backend ~cases ~opts =
           | Ok () -> (
             (* durable admission: the store record lands (fsynced) before
                ACCEPTED is even queued for write *)
-            let sub =
-              Store.admit t.store ~tenant ~backend ~cases:case_names ~opts
-            in
-            match Fairq.admit t.queue ~tenant ~cost sub with
-            | Error reject ->
-              (* quota rejection after the durable write would strand the
-                 record; cancel it durably so the store stays truthful *)
-              ignore (Store.cancel t.store sub.Store.id);
-              t.busy <- t.busy + 1;
-              metric_inc t "serve.busy";
-              send t conn
-                (Wire.Busy
-                   { reason = Fairq.reject_reason reject;
-                     retry_after_ms = retry_after_ms t })
-            | Ok depth ->
-              t.accepted <- t.accepted + 1;
-              metric_inc t "serve.accepted";
-              metric_gauge t "serve.queue_depth" (float_of_int depth);
-              Hashtbl.replace t.subscribers sub.Store.id conn.cid;
-              trace_event t "serve-admit"
-                [ ("id", Obs.Trace.I sub.Store.id);
-                  ("tenant", Obs.Trace.S tenant);
-                  ("cost", Obs.Trace.I cost);
-                  ("depth", Obs.Trace.I depth) ];
-              send t conn (Wire.Accepted { id = sub.Store.id; queued = depth })))
+            match
+              durably (fun () ->
+                  Store.admit t.store ~tenant ~backend ~cases:case_names ~opts)
+            with
+            | Error reason -> store_failed t conn "admission" reason
+            | Ok sub -> (
+              match Fairq.admit t.queue ~tenant ~cost sub with
+              | Error reject -> (
+                (* quota rejection after the durable write would strand the
+                   record; cancel it durably so the store stays truthful. If
+                   even that write fails, the record stays queued on disk
+                   and runs after a restart. *)
+                match durably (fun () -> Store.cancel t.store sub.Store.id) with
+                | Error reason -> store_failed t conn "quota cancellation" reason
+                | Ok _ ->
+                  t.busy <- t.busy + 1;
+                  metric_inc t "serve.busy";
+                  send t conn
+                    (Wire.Busy
+                       { reason = Fairq.reject_reason reject;
+                         retry_after_ms = retry_after_ms t }))
+              | Ok depth ->
+                t.accepted <- t.accepted + 1;
+                metric_inc t "serve.accepted";
+                metric_gauge t "serve.queue_depth" (float_of_int depth);
+                Hashtbl.replace t.subscribers sub.Store.id conn.cid;
+                trace_event t "serve-admit"
+                  [ ("id", Obs.Trace.I sub.Store.id);
+                    ("tenant", Obs.Trace.S tenant);
+                    ("cost", Obs.Trace.I cost);
+                    ("depth", Obs.Trace.I depth) ];
+                send t conn (Wire.Accepted { id = sub.Store.id; queued = depth }))))
       end
   end
 
@@ -393,15 +413,18 @@ let handle_status t conn = function
 let handle_cancel t conn id =
   if is_running t id then
     send t conn (Wire.Rejected { reason = Printf.sprintf "job %d is running" id })
-  else if Store.cancel t.store id then begin
-    t.cancelled <- t.cancelled + 1;
-    metric_inc t "serve.cancelled";
-    trace_event t "serve-cancel" [ ("id", Obs.Trace.I id) ];
-    send t conn (Wire.Job { id; state = Wire.Cancelled })
-  end
   else
-    send t conn
-      (Wire.Rejected { reason = Printf.sprintf "job %d not cancellable" id })
+    match durably (fun () -> Store.cancel t.store id) with
+    | Error reason ->
+      store_failed t conn (Printf.sprintf "cancellation of job %d" id) reason
+    | Ok true ->
+      t.cancelled <- t.cancelled + 1;
+      metric_inc t "serve.cancelled";
+      trace_event t "serve-cancel" [ ("id", Obs.Trace.I id) ];
+      send t conn (Wire.Job { id; state = Wire.Cancelled })
+    | Ok false ->
+      send t conn
+        (Wire.Rejected { reason = Printf.sprintf "job %d not cancellable" id })
 
 let handle_results t conn id =
   match (Store.status t.store id, Store.submission t.store id) with

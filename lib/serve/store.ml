@@ -577,11 +577,12 @@ let counts t =
 
 let admit t ~tenant ~backend ~cases ~opts =
   let id = t.next_id in
-  t.next_id <- id + 1;
   let sub = { id; tenant; backend; cases; opts } in
   (* write_checked fsyncs the record and its directory entry: once this
-     returns, a kill -9 cannot lose the acceptance we are about to send *)
+     returns, a kill -9 cannot lose the acceptance we are about to send.
+     If it raises, nothing below runs and the id stays free. *)
   Rb_util.Fsfile.write_checked (job_file t id) (render_submission sub);
+  t.next_id <- id + 1;
   Hashtbl.replace t.subs id sub;
   Hashtbl.replace t.statuses id Queued;
   sub

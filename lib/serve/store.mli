@@ -73,7 +73,9 @@ val admit :
   t -> tenant:string -> backend:string -> cases:string list ->
   opts:Exec.Campaign_opts.t -> submission
 (** Assign the next id and durably record the submission before returning
-    — the caller may acknowledge ACCEPTED the moment this returns. *)
+    — the caller may acknowledge ACCEPTED the moment this returns. If the
+    write fails, its [Sys_error] or [Unix.Unix_error] propagates and the
+    store is unchanged: the id stays free and nothing is pending. *)
 
 val pending : t -> submission list
 (** Accepted-but-unfinished jobs, admission order. On a fresh {!open_dir}
@@ -86,7 +88,9 @@ val counts : t -> int * int * int * int
 (** (queued-or-running, completed, cancelled, quarantined). *)
 
 val cancel : t -> int -> bool
-(** Durably cancel a still-queued job; [false] if unknown or past that. *)
+(** Durably cancel a still-queued job; [false] if unknown or past that.
+    If the marker write fails, its exception propagates and the job stays
+    queued. *)
 
 val write_results : string -> Rustbrain.Report.t list -> unit
 (** [write_results path reports] atomically (re)writes the stitched

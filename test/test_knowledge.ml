@@ -93,14 +93,6 @@ let test_store_topk () =
     Alcotest.(check bool) "ordered by similarity" true (s1 > s2)
   | other -> Alcotest.failf "unexpected top-2: %d entries" (List.length other)
 
-let test_store_threshold () =
-  let store = Knowledge.Store.create () in
-  Knowledge.Store.add store [| 1.0; 0.0 |] "x";
-  Alcotest.(check int) "above" 1
-    (List.length (Knowledge.Store.query_above store [| 1.0; 0.0 |] ~threshold:0.9));
-  Alcotest.(check int) "below" 0
-    (List.length (Knowledge.Store.query_above store [| 0.0; 1.0 |] ~threshold:0.9))
-
 (* kb *)
 
 let test_kb_query_and_cost () =
@@ -157,9 +149,7 @@ let test_store_tie_insertion_order () =
   List.iter (fun i -> Knowledge.Store.add store v i) [ 0; 1; 2 ];
   let found = Knowledge.Store.search store v ~k:3 in
   let ids = List.map (fun (_, id, _) -> id) found.Knowledge.Store.hits in
-  Alcotest.(check (list int)) "ties break toward earlier insertion" [ 0; 1; 2 ] ids;
-  let above = List.map snd (Knowledge.Store.query_above store v ~threshold:0.5) in
-  Alcotest.(check (list int)) "query_above is insertion-stable too" [ 0; 1; 2 ] above
+  Alcotest.(check (list int)) "ties break toward earlier insertion" [ 0; 1; 2 ] ids
 
 let test_kind_bias_canonical_order () =
   let e k = { Knowledge.Kb.category = Miri.Diag.Alloc; advice = "a"; recommended = k } in
@@ -406,26 +396,6 @@ let prop_exact_equals_indexed_featvec =
       let ix = Knowledge.Knn.search_indexed t q ~k:8 in
       ex.Knowledge.Knn.hits = ix.Knowledge.Knn.hits)
 
-let test_knn_parallel_bitwise () =
-  (* above the 4096-row cutoff the scan really forks domains; the score
-     array must still be bit-identical to the sequential pass *)
-  let dim = 6 in
-  let rng = Rb_util.Rng.create 0xace in
-  let vecs =
-    List.init 5000 (fun _ -> Array.init dim (fun _ -> (2.0 *. Rb_util.Rng.float rng) -. 1.0))
-  in
-  let t = knn_of_vecs dim vecs in
-  for _ = 1 to 10 do
-    let q = Array.init dim (fun _ -> (2.0 *. Rb_util.Rng.float rng) -. 1.0) in
-    let s1 = Knowledge.Knn.scores ~domains:1 t q in
-    let s3 = Knowledge.Knn.scores ~domains:3 t q in
-    if s1 <> s3 then Alcotest.fail "parallel scores differ from sequential";
-    let e1 = Knowledge.Knn.search_exact ~domains:1 t q ~k:7 in
-    let e3 = Knowledge.Knn.search_exact ~domains:3 t q ~k:7 in
-    if e1.Knowledge.Knn.hits <> e3.Knowledge.Knn.hits then
-      Alcotest.fail "parallel hits differ from sequential"
-  done
-
 let test_store_shared_across_domains () =
   (* one frozen store serving several sessions keeps no per-query state:
      two domains querying it at once see exactly what one domain sees
@@ -473,7 +443,6 @@ let suite =
     Alcotest.test_case "cosine self" `Quick test_cosine_self;
     Alcotest.test_case "category dominates similarity" `Quick test_cosine_category_dominates;
     Alcotest.test_case "store top-k" `Quick test_store_topk;
-    Alcotest.test_case "store threshold" `Quick test_store_threshold;
     Alcotest.test_case "kb query and cost" `Quick test_kb_query_and_cost;
     Alcotest.test_case "kb learning grows" `Quick test_kb_learning_grows;
     Alcotest.test_case "cosine mismatch raises" `Quick test_cosine_mismatch_raises;
@@ -490,6 +459,5 @@ let suite =
     Alcotest.test_case "kb snapshot frozen in-process" `Quick test_kb_snapshot_frozen_in_process;
     QCheck_alcotest.to_alcotest prop_exact_equals_indexed;
     QCheck_alcotest.to_alcotest prop_exact_equals_indexed_featvec;
-    Alcotest.test_case "knn parallel scan bit-identical" `Quick test_knn_parallel_bitwise;
     Alcotest.test_case "store shared by domains keeps no query state" `Quick
       test_store_shared_across_domains ]

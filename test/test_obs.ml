@@ -17,13 +17,6 @@ let test_memory_order () =
     "emission order" [ "a"; "b"; "c" ]
     (List.map (fun r -> r.Trace.name) (records ()))
 
-let test_memory_ring () =
-  let sink, records = Trace.memory ~ring:2 () in
-  List.iter (Trace.event sink) [ "a"; "b"; "c"; "d" ];
-  Alcotest.(check (list string))
-    "oldest dropped" [ "c"; "d" ]
-    (List.map (fun r -> r.Trace.name) (records ()))
-
 let test_span_clock_and_post () =
   let sink, records = Trace.memory () in
   let now = ref 10.0 in
@@ -377,7 +370,6 @@ let test_default_domains_cap () =
 
 let suite =
   [ Alcotest.test_case "trace: memory sink order" `Quick test_memory_order;
-    Alcotest.test_case "trace: ring bound" `Quick test_memory_ring;
     Alcotest.test_case "trace: span clock + post attrs" `Quick test_span_clock_and_post;
     Alcotest.test_case "trace: span on raise" `Quick test_span_raised;
     Alcotest.test_case "trace: gating off runs nothing" `Quick test_gating_off;

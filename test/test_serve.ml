@@ -496,6 +496,42 @@ let test_store_cancel () =
         (let q, d, c, z = Store.counts reopened in
          ((q, d), (c, z))))
 
+(* A durable write that fails raises out of the store and changes nothing
+   it would have changed: no temporary file left behind, the job never
+   pending, the id still free, and a failed cancel leaves the job queued.
+   A directory squatting on the record's path makes the rename fail. *)
+let test_store_failed_write () =
+  with_dir (fun dir ->
+      let store = Store.open_dir ~dir () in
+      let queue = Filename.concat dir "queue" in
+      let block name = Unix.mkdir (Filename.concat queue name) 0o755 in
+      let unblock name = Unix.rmdir (Filename.concat queue name) in
+      let tmp_files () =
+        List.filter
+          (fun n -> Helpers.contains n ".tmp.")
+          (Array.to_list (Sys.readdir queue))
+      in
+      let admit () =
+        Store.admit store ~tenant:"t" ~backend:"b" ~cases:[ "c" ]
+          ~opts:Opts.default
+      in
+      block "job-000000.json";
+      (match admit () with
+      | _ -> Alcotest.fail "admit acknowledged a record it could not write"
+      | exception (Sys_error _ | Unix.Unix_error _) -> ());
+      Alcotest.(check (list string)) "no tmp file left" [] (tmp_files ());
+      Alcotest.(check (list int)) "not pending" []
+        (List.map (fun (s : Store.submission) -> s.id) (Store.pending store));
+      unblock "job-000000.json";
+      Alcotest.(check int) "the id stays free" 0 (admit ()).id;
+      block "cancelled-000000.json";
+      (match Store.cancel store 0 with
+      | _ -> Alcotest.fail "cancel acknowledged a marker it could not write"
+      | exception (Sys_error _ | Unix.Unix_error _) -> ());
+      Alcotest.(check (list string)) "no tmp file after cancel" [] (tmp_files ());
+      Alcotest.(check bool) "still queued" true
+        (Store.status store 0 = Some Store.Queued))
+
 let test_store_results_complete () =
   with_dir (fun dir ->
       let store = Store.open_dir ~dir () in
@@ -1004,6 +1040,8 @@ let suite =
     Alcotest.test_case "store: admission durable at ACCEPTED" `Quick
       test_store_admit_durable;
     Alcotest.test_case "store: cancel transitions" `Quick test_store_cancel;
+    Alcotest.test_case "store: failed write changes nothing" `Quick
+      test_store_failed_write;
     Alcotest.test_case "store: results and completion" `Quick
       test_store_results_complete;
     Alcotest.test_case "store: journal progress" `Quick test_store_progress;
