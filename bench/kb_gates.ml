@@ -3,23 +3,6 @@
 
 open Harness
 
-(* Synthetic Featvec-shaped vectors: a sparse, unit-normalized hashed block
-   plus a dominant 2.0 one-hot category component, mirroring
-   Featvec.of_sketch — so the bucketed index sees the geometry it was built
-   for without featurizing thousands of programs. *)
-let knn_synth ~dim ~hash_dim rng cat =
-  let v = Array.make dim 0.0 in
-  for _ = 1 to 8 do
-    v.(Rb_util.Rng.int rng hash_dim) <- 0.2 +. (1.4 *. Rb_util.Rng.float rng)
-  done;
-  let n = sqrt (Array.fold_left (fun a x -> a +. (x *. x)) 0.0 v) in
-  if n > 0.0 then
-    for i = 0 to hash_dim - 1 do
-      v.(i) <- v.(i) /. n
-    done;
-  v.(hash_dim + cat) <- 2.0;
-  v
-
 (* kb-smoke helper, run as a fresh process: one 1-seed job over four cases
    against the writable KB slice [slice], journaled under [journal].
    [mode] is "kill2" (fresh, killed after 2 records), "resume" or "fresh".
@@ -234,28 +217,7 @@ let kb_smoke () =
             r2.Knowledge.Segment.duplicates)
       | [] -> failf "compaction left no segment")));
 
-  (* 6: retrieval strategies agree bit-for-bit on Featvec-shaped data —
-     exact==indexed hits *)
-  let dim = Knowledge.Featvec.dim in
-  let ncat = List.length Miri.Diag.all_kinds in
-  let hash_dim = dim - ncat in
-  let t = Knowledge.Knn.create ~dim in
-  let rng = Rb_util.Rng.create 0xfeed in
-  for i = 0 to 8191 do
-    ignore (Knowledge.Knn.add t (knn_synth ~dim ~hash_dim rng (i mod ncat)))
-  done;
-  let qs = List.init 30 (fun i -> knn_synth ~dim ~hash_dim rng (i mod ncat)) in
-  List.iter
-    (fun q ->
-      let ex = Knowledge.Knn.search_exact t q ~k:8 in
-      let ix = Knowledge.Knn.search_indexed t q ~k:8 in
-      if ex.Knowledge.Knn.hits <> ix.Knowledge.Knn.hits then
-        failf "indexed hits diverge from the exact scan")
-    qs;
-  Printf.printf "retrieval agreement: exact==indexed over %d queries\n"
-    (List.length qs);
-
-  (* 7: resume against a persistent KB. Every run is a fresh process: in
+  (* 6: resume against a persistent KB. Every run is a fresh process: in
      one process the registry would keep serving the rows it read first.
      A 1-seed, 4-case job on a writable slice is killed after 2 journaled
      records, then (a) rows appended past the slice's high-water id leave

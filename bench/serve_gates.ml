@@ -388,9 +388,6 @@ let serve_smoke () =
                       (Serve.Wire.response_to_string r)
                   | Error e -> failf "%s: %s" what e
                 in
-                (* a server that died must fail the gate with a message,
-                   not kill it with SIGPIPE on the next request *)
-                Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
                 Unix.mkdir blocker 0o755;
                 expect "blocked submit"
                   (function Serve.Wire.Error_msg _ -> true | _ -> false)

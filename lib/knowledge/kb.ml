@@ -28,12 +28,10 @@ type backing = In_memory of entry Store.t | Persistent of slice_ref
 type t = {
   backing : backing;
   clock : Rb_util.Simclock.t;
-  query_cost : float;
   q_base : int;  (* rows refused when the persistent rows were loaded *)
 }
 
-let create ?(query_cost = 3.0) ~clock () =
-  { backing = In_memory (Store.create ()); clock; query_cost; q_base = 0 }
+let create ~clock () = { backing = In_memory (Store.create ()); clock; q_base = 0 }
 
 (* -- entry codec -------------------------------------------------------- *)
 
@@ -244,7 +242,6 @@ let locked_frozen dir high_water rows =
           | None -> incr undecodable
         end)
       rows;
-    Store.freeze store;
     let digest = Digest.to_hex (Digest.string (Buffer.contents b)) in
     let fz = { store; digest; undecodable = !undecodable } in
     Hashtbl.replace frozen_views (dir, high_water) fz;
@@ -320,14 +317,14 @@ let seed_default t =
         learn t (seed_vec category) { category; advice; recommended })
       default_entries
 
-let open_dir ?(query_cost = 3.0) ?(readonly = false) ~dir ~clock () =
+let open_dir ?(readonly = false) ~dir ~clock () =
   with_registry (fun () ->
       Result.map
         (fun sl ->
           let high_water = high_water sl.rows in
           let fz = locked_frozen dir high_water sl.rows in
           { backing = Persistent { dir; readonly; high_water; digest = fz.digest };
-            clock; query_cost;
+            clock;
             q_base = sl.quarantined + fz.undecodable })
         (locked_slice ~want_writer:(not readonly) dir))
 
@@ -336,20 +333,21 @@ let open_dir ?(query_cost = 3.0) ?(readonly = false) ~dir ~clock () =
 let max_hits = 8
 let hit_threshold = 0.35
 
+(* simulated seconds per lookup, plus per row of the store: the paper
+   reports KB overhead growing with the knowledge base, and every query
+   scores every row *)
+let query_cost = 3.0
+let row_cost = 0.05
+
 let query t vec =
-  let found = Store.search (view t) vec ~k:max_hits in
+  let store = view t in
   let hits =
-    found.Store.hits
+    Store.search store vec ~k:max_hits
     |> List.filter (fun (s, _, _) -> s > hit_threshold)
     |> List.map (fun (s, _, e) -> (s, e))
   in
-  (* size-dependent lookup cost: the paper reports KB overhead growing with
-     the knowledge base. Charged per row actually scored, so the bucketed
-     index on a large store buys back most of the historical full-scan
-     cost (and on a small exact scan this is precisely the old
-     query_cost + 0.05 * size). *)
   Rb_util.Simclock.charge t.clock
-    (t.query_cost +. (0.05 *. float_of_int found.Store.scanned));
+    (query_cost +. (row_cost *. float_of_int (Store.size store)));
   hits
 
 let hints_text hits =

@@ -35,13 +35,10 @@ type entry = {
 
 type t
 
-val create : ?query_cost:float -> clock:Rb_util.Simclock.t -> unit -> t
-(** An in-memory KB. [query_cost] is seconds charged per lookup (default
-    3.0, plus a per-row scan cost) — the paper's Fig. 7 observes that the
-    knowledge base buys accuracy at 2-4x overhead growing with its size. *)
+val create : clock:Rb_util.Simclock.t -> unit -> t
+(** An empty in-memory KB charging its {!query}s to [clock]. *)
 
 val open_dir :
-  ?query_cost:float ->
   ?readonly:bool ->
   dir:string ->
   clock:Rb_util.Simclock.t ->
@@ -86,10 +83,10 @@ val max_hits : int
 
 val query : t -> float array -> (float * entry) list
 (** The best [max_hits] matches above similarity 0.35, best first; equal
-    scores tie-break toward the earlier entry. Charges simulated time
-    proportional to the rows actually scored — a bucketed index over a
-    large store prunes most rows, so the cost grows sublinearly where the
-    historical full scan grew linearly. *)
+    scores tie-break toward the earlier entry. Every query scores every
+    row, and charges 3.0 simulated seconds plus 0.05 per row ({!size}) —
+    the paper's Fig. 7 observes that the knowledge base buys accuracy at
+    2-4x overhead growing with its size. *)
 
 val hints_text : (float * entry) list -> string
 (** Render hits as a prompt section. *)

@@ -337,7 +337,6 @@ let open_writer ?expect ?(seal_every = 256) ?(compact_at = 8) ~dir () =
       Ok (w, report))
 
 let records w = List.rev w.live_rev
-let next_id w = w.next_id
 
 let live_segment_count w = List.length (list_segments w.dir)
 

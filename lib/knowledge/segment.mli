@@ -72,8 +72,6 @@ val append : writer -> vec:float array -> payload:Rb_util.Json.t -> (int, string
 val records : writer -> record list
 (** Live records, id ascending, reflecting every append so far. *)
 
-val next_id : writer -> int
-
 val seal : writer -> unit
 (** Roll the tail log (if non-empty) into a sealed segment now. *)
 

@@ -16,8 +16,6 @@ let create ?dim () =
 
 let size t = t.n
 let quarantined t = t.quarantined
-let dim t = Option.map Knn.dim t.knn
-let freeze t = Option.iter Knn.freeze t.knn
 
 let add t vec payload =
   let knn =
@@ -43,19 +41,10 @@ let add t vec payload =
     t.n <- row + 1
   end
 
-let entries t =
-  match t.knn with
-  | None -> []
-  | Some knn -> List.init t.n (fun i -> (i, Knn.get knn i, t.payloads.(i)))
-
-type 'a found = { hits : (float * int * 'a) list; scanned : int }
-
 let search t vec ~k =
   match t.knn with
   | Some knn when Array.length vec = Knn.dim knn ->
-    let r = Knn.search knn vec ~k in
-    { hits = List.map (fun (s, row) -> (s, row, t.payloads.(row))) r.Knn.hits;
-      scanned = r.Knn.scanned }
-  | _ -> { hits = []; scanned = 0 }
+    List.map (fun (s, row) -> (s, row, t.payloads.(row))) (Knn.search knn vec ~k)
+  | _ -> []
 
-let query t vec ~k = List.map (fun (s, _, p) -> (s, p)) (search t vec ~k).hits
+let query t vec ~k = List.map (fun (s, _, p) -> (s, p)) (search t vec ~k)

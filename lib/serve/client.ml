@@ -5,6 +5,9 @@ type t = {
 }
 
 let connect ?(retries = 50) ?(retry_delay_s = 0.1) path =
+  (* a peer that is gone must be a send error (EPIPE), not a process kill *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ | Sys_error _ -> ());
   let rec go n =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with

@@ -11,7 +11,9 @@ val connect :
   ?retries:int -> ?retry_delay_s:float -> string -> (t, string) result
 (** Connect to a Unix-domain socket path, retrying while the socket does
     not exist yet or refuses (server still starting). Defaults: 50 retries,
-    100ms apart — five seconds of patience. *)
+    100ms apart — five seconds of patience. Sets SIGPIPE to ignored for the
+    whole process, so writing to a server that has gone away makes
+    {!send} return [Error] instead of killing the process. *)
 
 val close : t -> unit
 

@@ -148,7 +148,7 @@ let test_store_tie_insertion_order () =
   let v = [| 0.6; 0.8 |] in
   List.iter (fun i -> Knowledge.Store.add store v i) [ 0; 1; 2 ];
   let found = Knowledge.Store.search store v ~k:3 in
-  let ids = List.map (fun (_, id, _) -> id) found.Knowledge.Store.hits in
+  let ids = List.map (fun (_, id, _) -> id) found in
   Alcotest.(check (list int)) "ties break toward earlier insertion" [ 0; 1; 2 ] ids
 
 let test_kind_bias_canonical_order () =
@@ -351,58 +351,42 @@ let test_kb_snapshot_frozen_in_process () =
         (seeds + 1)
         (List.length after.Knowledge.Segment.records))
 
-(* -- knn: exact == indexed, parallel == sequential ---------------------- *)
+(* -- retrieval: brute-force oracle, parallel == sequential -------------- *)
 
-let knn_of_vecs dim vecs =
-  let t = Knowledge.Knn.create ~dim in
-  List.iter (fun v -> ignore (Knowledge.Knn.add t v)) vecs;
-  t
+(* components from a few values, zero the likeliest, so that equal scores
+   and zero vectors (score 0 against everything) are common *)
+let gen_vec dim =
+  QCheck.Gen.(
+    array_size (return dim)
+      (frequencyl [ (3, 0.0); (1, -1.0); (1, 0.5); (1, 1.0); (1, 2.0) ]))
 
-let prop_exact_equals_indexed =
-  QCheck.Test.make ~name:"knn: indexed hits = exact hits" ~count:300
+(* Store.search against the definition: every entry scored by
+   Featvec.cosine, sorted by (score descending, id ascending), the first
+   [k] kept — bit-equal scores, same ids, same payloads *)
+let prop_search_matches_oracle =
+  let dim = 4 in
+  QCheck.Test.make ~name:"store: search = brute-force cosine ranking" ~count:500
     QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 40) (array_of_size (Gen.return 6) (float_range (-1.0) 1.0)))
-        (array_of_size (Gen.return 6) (float_range (-1.0) 1.0)))
-    (fun (vecs, q) ->
-      QCheck.assume (vecs <> []);
-      let t = knn_of_vecs 6 vecs in
-      let ex = Knowledge.Knn.search_exact t q ~k:5 in
-      let ix = Knowledge.Knn.search_indexed t q ~k:5 in
-      ex.Knowledge.Knn.hits = ix.Knowledge.Knn.hits)
-
-(* Featvec-shaped vectors (dominant one-hot + sparse block) actually drive
-   the pruning path; random dense vectors rarely do *)
-let prop_exact_equals_indexed_featvec =
-  QCheck.Test.make ~name:"knn: indexed = exact on Featvec-shaped data" ~count:60
-    QCheck.(pair small_int (int_bound 1000))
-    (fun (seed, extra) ->
-      let dim = Knowledge.Featvec.dim in
-      let hd = Knowledge.Featvec.hash_dim in
-      let ncat = dim - hd in
-      let rng = Rb_util.Rng.create (seed + extra) in
-      let synth cat =
-        let v = Array.make dim 0.0 in
-        for _ = 1 to 6 do
-          v.(Rb_util.Rng.int rng hd) <- Rb_util.Rng.float rng
-        done;
-        v.(hd + cat) <- 2.0;
-        v
+      make
+        ~print:Print.(triple (list (array float)) (array float) int)
+        Gen.(triple (list_size (0 -- 30) (gen_vec dim)) (gen_vec dim) (0 -- 35)))
+    (fun (vecs, q, k) ->
+      let store = Knowledge.Store.create ~dim () in
+      List.iteri (fun i v -> Knowledge.Store.add store v (Printf.sprintf "p%d" i)) vecs;
+      let oracle =
+        List.mapi (fun i v -> (Knowledge.Featvec.cosine q v, i, Printf.sprintf "p%d" i)) vecs
+        |> List.stable_sort (fun (s1, i1, _) (s2, i2, _) ->
+               match Float.compare s2 s1 with 0 -> compare i1 i2 | c -> c)
+        |> List.filteri (fun j _ -> j < k)
       in
-      let n = 40 + Rb_util.Rng.int rng 80 in
-      let t = knn_of_vecs dim (List.init n (fun i -> synth (i mod ncat))) in
-      let q = synth (Rb_util.Rng.int rng ncat) in
-      let ex = Knowledge.Knn.search_exact t q ~k:8 in
-      let ix = Knowledge.Knn.search_indexed t q ~k:8 in
-      ex.Knowledge.Knn.hits = ix.Knowledge.Knn.hits)
+      let bits = List.map (fun (s, i, p) -> (Int64.bits_of_float s, i, p)) in
+      bits (Knowledge.Store.search store q ~k) = bits oracle)
 
 let test_store_shared_across_domains () =
-  (* one frozen store serving several sessions keeps no per-query state:
-     two domains querying it at once see exactly what one domain sees
-     querying alone — the same hits and the same scanned counts, from
-     which the knowledge base computes its simulated charge. The store is
-     just big enough for searches to go through the bucketed index. *)
-  let dim = 12 and ncat = 4 and n = Knowledge.Knn.indexed_threshold in
+  (* one store serving several sessions keeps no per-query state: two
+     domains querying it at once see exactly what one domain sees querying
+     alone *)
+  let dim = 12 and ncat = 4 and n = 2_000 in
   let rng = Rb_util.Rng.create 0x5ea in
   let synth cat =
     let v = Array.make dim 0.0 in
@@ -416,23 +400,45 @@ let test_store_shared_across_domains () =
   for i = 0 to n - 1 do
     Knowledge.Store.add store (synth (i mod ncat)) i
   done;
-  Knowledge.Store.freeze store;
   let queries = List.init 60 (fun i -> synth (i mod ncat)) in
-  let run qs =
-    List.map
-      (fun q ->
-        let f = Knowledge.Store.search store q ~k:8 in
-        (f.Knowledge.Store.hits, f.Knowledge.Store.scanned))
-      qs
-  in
+  let run qs = List.map (fun q -> Knowledge.Store.search store q ~k:8) qs in
   let alone = run queries and alone_rev = run (List.rev queries) in
   let d1 = Domain.spawn (fun () -> run queries) in
   let d2 = Domain.spawn (fun () -> run (List.rev queries)) in
   let together = Domain.join d1 and together_rev = Domain.join d2 in
   Alcotest.(check bool) "domain 1 agrees with a lone run" true (together = alone);
-  Alcotest.(check bool) "domain 2 agrees with a lone run" true (together_rev = alone_rev);
-  Alcotest.(check bool) "the index pruned rows" true
-    (List.exists (fun (_, scanned) -> scanned < n) alone)
+  Alcotest.(check bool) "domain 2 agrees with a lone run" true (together_rev = alone_rev)
+
+(* The simulated charge of a query is a function of the store's size that
+   never falls as the store grows — here across 10^5 rows, where a
+   retrieval index once made the charge drop. *)
+let test_kb_charge_monotone () =
+  let clock = Rb_util.Simclock.create () in
+  let kb = Knowledge.Kb.create ~clock () in
+  let rows =
+    Array.of_list
+      (List.map
+         (fun category ->
+           ( Knowledge.Featvec.of_program program_with_noise [ Miri.Diag.make category "x" ],
+             { Knowledge.Kb.category; advice = "learned"; recommended = Repairs.Rule.Modify } ))
+         Miri.Diag.all_kinds)
+  in
+  let learn i =
+    let vec, entry = rows.(i mod Array.length rows) in
+    Knowledge.Kb.learn kb vec entry
+  in
+  let charge () =
+    snd (Rb_util.Simclock.elapsed_during clock (fun () -> Knowledge.Kb.query kb (fst rows.(0))))
+  in
+  for i = 0 to 99_998 do
+    learn i
+  done;
+  let c1 = charge () in
+  learn 99_999;
+  let c2 = charge () in
+  Alcotest.(check int) "rows" 100_000 (Knowledge.Kb.size kb);
+  if c2 < c1 then
+    Alcotest.failf "a query on 100000 rows charged %.2f s, less than %.2f s on 99999" c2 c1
 
 let suite =
   [ Alcotest.test_case "prune keeps unsafe" `Quick test_prune_keeps_unsafe;
@@ -457,7 +463,8 @@ let suite =
     Alcotest.test_case "segment duplicate ids first-wins" `Quick test_segment_duplicate_ids_first_wins;
     Alcotest.test_case "segment compaction load-equivalent" `Quick test_segment_compaction_equivalent;
     Alcotest.test_case "kb snapshot frozen in-process" `Quick test_kb_snapshot_frozen_in_process;
-    QCheck_alcotest.to_alcotest prop_exact_equals_indexed;
-    QCheck_alcotest.to_alcotest prop_exact_equals_indexed_featvec;
+    QCheck_alcotest.to_alcotest prop_search_matches_oracle;
     Alcotest.test_case "store shared by domains keeps no query state" `Quick
-      test_store_shared_across_domains ]
+      test_store_shared_across_domains;
+    Alcotest.test_case "kb charge never falls as the store grows" `Quick
+      test_kb_charge_monotone ]

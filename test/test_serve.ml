@@ -1000,6 +1000,31 @@ let test_procpool_spawn_refused_fork () =
   | Ok w -> Alcotest.failf "spawned pid %d after a domain ran" w.Procpool.pid);
   Alcotest.(check int) "socketpair closed" before (open_fds ())
 
+(* A client writing to a server that has gone away gets [Error], not
+   SIGPIPE: at the signal's default action the first write to a socket
+   whose peer has closed would end this whole process. *)
+let test_client_send_to_closed_peer () =
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_default in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous)
+    (fun () ->
+      with_dir (fun dir ->
+          let path = Filename.concat dir "sock" in
+          let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect ~finally:(fun () -> Unix.close listener)
+            (fun () ->
+              Unix.bind listener (Unix.ADDR_UNIX path);
+              Unix.listen listener 1;
+              match Serve.Client.connect ~retries:0 path with
+              | Error e -> Alcotest.failf "connect: %s" e
+              | Ok c ->
+                Fun.protect ~finally:(fun () -> Serve.Client.close c)
+                  (fun () ->
+                    let peer, _ = Unix.accept listener in
+                    Unix.close peer;
+                    match Serve.Client.send c Wire.Health with
+                    | Error _ -> ()
+                    | Ok () -> Alcotest.fail "send to a closed peer succeeded"))))
+
 let suite =
   [ Alcotest.test_case "wire: framing round-trip" `Quick test_framing_roundtrip;
     Alcotest.test_case "wire: byte-at-a-time feed" `Quick
@@ -1062,6 +1087,8 @@ let suite =
     Alcotest.test_case "outbuf: bounded chunked buffer" `Quick
       test_outbuf_bounded;
     Alcotest.test_case "retry: EINTR loop" `Quick test_retry_on_eintr;
+    Alcotest.test_case "client: send to a closed peer is an error" `Quick
+      test_client_send_to_closed_peer;
     Alcotest.test_case "report: codec version stamped" `Quick
       test_report_version_stamped;
     Alcotest.test_case "report: legacy lines accepted as v1" `Quick
