@@ -199,6 +199,21 @@ let make_env session (case : Dataset.Case.t) ~buggy : Env.t =
     runner = Some (make_runner session case buggy);
   }
 
+let program_env session ~probe ~scorer : Env.t =
+  {
+    Env.clock = session.sclock;
+    client = session.client;
+    sampling = { Llm_sim.Client.temperature = session.cfg.temperature };
+    kb = session.kb;
+    scorer;
+    reference = None;
+    probes = [ probe ];
+    ref_panics = [ false ];
+    rng = session.rng;
+    resilient = Some session.resilient;
+    runner = None;
+  }
+
 type attempt = {
   at_exec : Slow_think.execution;
   at_solution : Solution.t;

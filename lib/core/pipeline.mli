@@ -72,6 +72,14 @@ val kb_resolves : session -> bool
     ({!Knowledge.Kb.resolves}; true without a KB). Asked of a session
     restored from a snapshot before it carries on. *)
 
+val program_env :
+  session -> probe:int64 array -> scorer:(Minirust.Ast.program -> float) ->
+  Env.t
+(** An environment for repairing a program that is not a corpus case and
+    so has no developer reference: the session's clock, client, KB, RNG
+    and resilience wrapper, one probe input, no reference panics, and
+    [scorer] as the oracle. *)
+
 val repair : session -> Dataset.Case.t -> Report.t
 (** Run the full pipeline on one case. *)
 

@@ -1,15 +1,14 @@
 (** The one campaign-options record every driver shares.
 
-    [fix], [corpus-fix], [campaign], [serve] and the load driver used to
-    each re-plumb the same flags (seed, domain count, fault injection,
-    retries, deadline, journal/resume/fresh, trace, metrics, out) through
-    their own argument lists; the serve wire protocol would have made a
-    fourth copy. This record is the single source of truth: the CLI builds
-    one value from one shared Cmdliner term, the server parses the same
-    shape off the wire ({!of_wire_json}) and persists it in the durable
-    accepted-jobs store, and helpers here centralize the derived pieces
-    (backend resolution, pipeline config, journal-mode policy) that were
-    previously duplicated per subcommand. *)
+    The CLI's [fix], [campaign], [serve] and [serve-ctl submit] take the
+    same flags (seed, domain count, fault injection, retries, deadline,
+    journal/resume/fresh, trace, metrics, out, KB store), and the serve
+    wire protocol carries them too. This record is the single source of
+    truth for all of them: the CLI builds one value from one shared
+    Cmdliner term, the server parses the same shape off the wire
+    ({!of_wire_json}) and persists it in the durable accepted-jobs store,
+    and helpers here centralize the derived pieces (backend resolution,
+    pipeline config, journal-mode policy). *)
 
 type t = {
   seeds : int list;       (** one campaign per seed; never empty *)
@@ -49,8 +48,8 @@ val validate : t -> (t, string) result
 val pipeline_config :
   ?base:Rustbrain.Pipeline.config -> t -> Rustbrain.Pipeline.config
 (** [base] (default [Pipeline.default_config]) with this record's
-    fault-rate / retries / deadline applied. Seeds are applied per job by
-    the scheduler's [with_seed], not here. *)
+    fault-rate / retries / deadline and KB store applied. Seeds are applied
+    per job by the scheduler's [with_seed], not here. *)
 
 val runner : t -> backend:string -> (Runner.packed, string) result
 (** Resolve a backend name to a packed runner with these options applied.

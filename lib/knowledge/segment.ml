@@ -190,7 +190,7 @@ let scan ~dim ~fv dir =
   List.iter
     (fun (_, name) ->
       match Fsfile.read_checked (Filename.concat dir name) with
-      | Fsfile.Intact payload | Fsfile.Legacy payload | Fsfile.Healed payload ->
+      | Fsfile.Intact payload | Fsfile.Healed payload ->
         incr live_segs;
         String.split_on_char '\n' payload
         |> List.iter (fun line -> if String.trim line <> "" then classify_record line)

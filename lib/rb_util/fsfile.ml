@@ -1,13 +1,17 @@
 (* Directory-entry durability: after renaming into [dir] (or creating a
    child directory), fsync the directory so the new entry itself is on
-   stable storage. Not every filesystem supports fsync on a directory fd;
-   failure is non-fatal. *)
+   stable storage. A filesystem that cannot fsync a directory says EINVAL,
+   which is ignored; any other failure (EIO, or a directory that cannot be
+   opened) means the entry may not be durable, so it propagates. *)
 let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    Unix.close fd
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  (match Unix.fsync fd with
+  | () -> ()
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> ()
+  | exception e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e);
+  Unix.close fd
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -75,17 +79,16 @@ let remove_if_exists path =
    the payload verbatim. The length makes a torn tail distinguishable from
    a bit flip: a short payload is truncation (heal-or-quarantine by policy),
    a full-length payload with a wrong CRC is corruption; extra bytes after
-   the declared length are a healable appended tail. Records written
-   before this format (no magic) are legacy and accepted as-is. *)
+   the declared length are a healable appended tail. Every writer uses
+   this format, so a record without the magic is corrupt. *)
 
 let checked_magic = "%RB1"
 
 type checked =
   | Intact of string       (* header present, length and CRC both check out *)
-  | Legacy of string       (* pre-checksum record: no magic header *)
   | Healed of string       (* declared prefix intact; trailing junk dropped *)
   | Torn                   (* payload shorter than declared *)
-  | Corrupt of string      (* full-length payload, CRC mismatch (reason) *)
+  | Corrupt of string      (* no or bad header, or CRC mismatch (reason) *)
   | Missing
 
 let render_checked payload =
@@ -100,7 +103,7 @@ let classify_checked s =
     String.length s >= String.length checked_magic
     && String.sub s 0 (String.length checked_magic) = checked_magic
   in
-  if not starts_with_magic then Legacy s
+  if not starts_with_magic then Corrupt "no record header"
   else
     match String.index_opt s '\n' with
     | None -> Torn (* header itself truncated *)
@@ -128,5 +131,5 @@ let read_checked path =
   | Some s -> classify_checked s
 
 let checked_payload = function
-  | Intact p | Legacy p | Healed p -> Some p
+  | Intact p | Healed p -> Some p
   | Torn | Corrupt _ | Missing -> None

@@ -7,8 +7,8 @@
     [write_atomic]/[write_lines]: the content lands in [<path>.tmp.<pid>],
     is fsynced, and is renamed over [path] in one atomic step — a reader
     observes either the complete old file or the complete new one, never a
-    mixture. The containing directory is fsynced after the rename (best
-    effort) so the new directory entry itself survives power loss. *)
+    mixture. The containing directory is fsynced after the rename so the
+    new directory entry itself survives power loss. *)
 
 val mkdir_p : string -> unit
 (** Create the directory and any missing parents (mode 0o755); existing
@@ -18,10 +18,12 @@ val mkdir_p : string -> unit
     durability lie. *)
 
 val fsync_dir : string -> unit
-(** Flush a directory's entry table to stable storage (best effort: some
-    filesystems refuse fsync on a directory fd, which is non-fatal). Called
-    automatically after every {!write_atomic}/{!write_channel} rename and
-    by {!mkdir_p}; exposed for callers that rename files themselves. *)
+(** Flush a directory's entry table to stable storage. A filesystem that
+    cannot fsync a directory fd answers EINVAL, which is ignored; every
+    other [Unix_error] (the open included) is raised, since the entry may
+    not be durable. Called automatically after every
+    {!write_atomic}/{!write_channel} rename and by {!mkdir_p}; exposed for
+    callers that rename files themselves. *)
 
 val write_atomic : string -> string -> unit
 (** [write_atomic path contents] durably replaces [path] with [contents]. *)
@@ -45,16 +47,17 @@ val remove_if_exists : string -> unit
     markers) are wrapped in a one-line header — magic+version, payload
     length, payload CRC-32 — so a later fsck can tell an intact record
     from a torn tail from a bit flip instead of feeding rotted bytes to a
-    JSON parser and hoping. Records written before the header existed are
-    classified [Legacy] and accepted unchanged. *)
+    JSON parser and hoping. Every writer uses the header, so bytes
+    without one are [Corrupt]. *)
 
 type checked =
   | Intact of string   (** header present; length and CRC both verify *)
-  | Legacy of string   (** no header: a pre-checksum record, trusted as-is *)
   | Healed of string
       (** declared prefix verifies; junk bytes after it were dropped *)
   | Torn               (** payload shorter than the header declares *)
-  | Corrupt of string  (** full-length payload failing its CRC (reason) *)
+  | Corrupt of string
+      (** no header, an unparseable one, or a full-length payload failing
+          its CRC (reason) *)
   | Missing            (** file absent or unreadable *)
 
 val write_checked : string -> string -> unit
@@ -64,8 +67,5 @@ val write_checked : string -> string -> unit
 val read_checked : string -> checked
 (** Read and classify; never raises. *)
 
-val classify_checked : string -> checked
-(** Classify already-read bytes (never returns [Missing]). *)
-
 val checked_payload : checked -> string option
-(** The usable payload of [Intact]/[Legacy]/[Healed]; [None] otherwise. *)
+(** The usable payload of [Intact]/[Healed]; [None] otherwise. *)

@@ -2,8 +2,9 @@
 
     A thin synchronous counterpart to the event-driven server: one
     connection, framed sends, timeout-bounded receives. Used by the CLI's
-    client-side subcommands, the load driver and the smoke gate; nothing in
-    it is server-side. *)
+    [serve-ctl] (its [submit] and [results] included) and by the serve
+    gates ([serve-smoke], [procpool-smoke], [chaos-serve] through
+    {!Chaos}); nothing in it is server-side. *)
 
 type t
 

@@ -171,7 +171,6 @@ type fsck_issue = {
 type fsck_report = {
   scanned : int;
   intact : int;
-  legacy : int;
   issues : fsck_issue list;
 }
 
@@ -189,7 +188,6 @@ let fsck_report_to_json r =
   Obj
     [ ("scanned", num r.scanned);
       ("intact", num r.intact);
-      ("legacy", num r.legacy);
       ("healed", num (fsck_count `Healed r));
       ("torn", num (fsck_count `Torn r));
       ("corrupt", num (fsck_count `Corrupt r));
@@ -233,7 +231,6 @@ type fsck_ctx = {
   heal : bool;
   mutable f_scanned : int;
   mutable f_intact : int;
-  mutable f_legacy : int;
   mutable f_issues : fsck_issue list;  (* reverse order *)
 }
 
@@ -270,20 +267,14 @@ let drop_tmp ctx ~rel path =
 (* A checksummed single-record file: parseable payload required. *)
 let fsck_record ctx ~rel ~parse path =
   ctx.f_scanned <- ctx.f_scanned + 1;
-  let verified_payload cls p =
-    if parse p then
-      match cls with
-      | `I -> ctx.f_intact <- ctx.f_intact + 1
-      | `L -> ctx.f_legacy <- ctx.f_legacy + 1
+  match Rb_util.Fsfile.read_checked path with
+  | Rb_util.Fsfile.Missing -> ()
+  | Rb_util.Fsfile.Intact p ->
+    if parse p then ctx.f_intact <- ctx.f_intact + 1
     else
       let action = set_aside ctx ~rel path in
       ctx_issue ctx ~rel ~severity:`Corrupt
         ~detail:"checksum fine but payload unparseable" ~action
-  in
-  match Rb_util.Fsfile.read_checked path with
-  | Rb_util.Fsfile.Missing -> ()
-  | Rb_util.Fsfile.Intact p -> verified_payload `I p
-  | Rb_util.Fsfile.Legacy p -> verified_payload `L p
   | Rb_util.Fsfile.Healed p ->
     if parse p then begin
       let action =
@@ -354,7 +345,7 @@ let fsck_results ctx ~rel path =
 
 let fsck ?(heal = true) ~dir () =
   let ctx =
-    { root = dir; heal; f_scanned = 0; f_intact = 0; f_legacy = 0; f_issues = [] }
+    { root = dir; heal; f_scanned = 0; f_intact = 0; f_issues = [] }
   in
   let queue_dir = Filename.concat dir "queue" in
   let results_dir = Filename.concat dir "results" in
@@ -478,7 +469,6 @@ let fsck ?(heal = true) ~dir () =
     (list_dir quarantine_dir);
   { scanned = ctx.f_scanned;
     intact = ctx.f_intact;
-    legacy = ctx.f_legacy;
     issues = List.rev ctx.f_issues }
 
 (* -- scan / open -------------------------------------------------------- *)
@@ -508,8 +498,8 @@ let open_dir ?(scrub = true) ~dir () =
      "some jobs re-run or need triage", not "the fleet is down" *)
   if scrub then ignore (fsck ~heal:true ~dir () : fsck_report);
   (* Admission records are the source of truth; markers refine them. After
-     the scrub everything left on disk is either checksum-verified or
-     legacy; a record that still fails to parse is skipped, not fatal. *)
+     the scrub everything left on disk is checksum-verified; a record that
+     still fails to parse is skipped, not fatal. *)
   List.iter
     (fun id ->
       match Option.map parse_submission (read_record (job_file t id)) with

@@ -22,11 +22,11 @@
     v}
 
     Queue and quarantine records are written as CRC-checksummed checked
-    records ({!Rb_util.Fsfile.write_checked}); records from before the
-    header existed are accepted as legacy. {!fsck} classifies every
-    record — intact / legacy / healed / torn / corrupt — heals what it
-    can and sets aside what it cannot, and {!open_dir} runs it as a
-    startup scrub, so no state-dir damage is ever fatal.
+    records ({!Rb_util.Fsfile.write_checked}); a record without the
+    header is corrupt. {!fsck} classifies every record — intact / healed /
+    torn / corrupt — heals what it can and sets aside what it cannot, and
+    {!open_dir} runs it as a startup scrub, so no state-dir damage is ever
+    fatal.
 
     Crash windows are all safe: killed after admission → the job re-runs
     from its journal; killed after results but before the done marker →
@@ -177,7 +177,6 @@ type fsck_issue = {
 type fsck_report = {
   scanned : int;      (** records examined *)
   intact : int;       (** checksum-verified (or fully valid) records *)
-  legacy : int;       (** pre-checksum records accepted as-is *)
   issues : fsck_issue list;
 }
 

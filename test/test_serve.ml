@@ -694,6 +694,30 @@ let test_fsck_bitflip_checksum () =
       Alcotest.(check (list int)) "flipped record not resumed" []
         (ids (Store.pending reopened)))
 
+(* Every writer puts a checksum header on queue records, so a headerless
+   one is damage, even when its payload parses. *)
+let test_fsck_headerless_record () =
+  with_dir (fun dir ->
+      let store = Store.open_dir ~dir () in
+      ignore
+        (Store.admit store ~tenant:"t" ~backend:"b" ~cases:[ "c" ]
+           ~opts:Opts.default
+          : Store.submission);
+      let path = queue_file dir "job-000000.json" in
+      let bytes = raw_read path in
+      let nl = String.index bytes '\n' in
+      Rb_util.Fsfile.write_atomic path
+        (String.sub bytes (nl + 1) (String.length bytes - nl - 1));
+      let report = Store.fsck ~heal:false ~dir () in
+      Alcotest.(check int) "classified corrupt" 1
+        (Store.fsck_count `Corrupt report);
+      let reopened = Store.open_dir ~dir () in
+      Alcotest.(check (list int)) "headerless admission not resumed" []
+        (ids (Store.pending reopened));
+      Alcotest.(check bool) "bytes preserved for triage" true
+        (Sys.file_exists
+           (Filename.concat dir "quarantined/corrupt/queue-job-000000.json")))
+
 let test_fsck_garbage_journal () =
   with_dir (fun dir ->
       let store = Store.open_dir ~dir () in
@@ -865,9 +889,18 @@ let test_fsfile_mkdir_p_nested () =
       let f = Filename.concat deep "x.json" in
       Rb_util.Fsfile.write_atomic f "{}";
       Alcotest.(check (option string)) "file lands inside" (Some "{}")
-        (Rb_util.Fsfile.read f);
-      (* fsync_dir is best-effort: a missing path must not raise *)
-      Rb_util.Fsfile.fsync_dir (Filename.concat dir "no-such-dir"))
+        (Rb_util.Fsfile.read f))
+
+(* A directory fsync that fails leaves the new entry possibly not durable,
+   so only a filesystem's "cannot fsync a directory" (EINVAL) is ignored. *)
+let test_fsfile_fsync_dir_errors () =
+  with_dir (fun dir ->
+      (match Rb_util.Fsfile.fsync_dir (Filename.concat dir "no-such-dir") with
+      | () -> Alcotest.fail "fsync_dir of a missing directory returned"
+      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+      (* procfs refuses fsync on a directory with EINVAL *)
+      Rb_util.Fsfile.fsync_dir "/proc";
+      Rb_util.Fsfile.fsync_dir dir)
 
 (* -- worker-pool protocol (procpool) ------------------------------------- *)
 
@@ -1078,6 +1111,8 @@ let suite =
       test_fsck_truncated_submission;
     Alcotest.test_case "fsck: bit-flipped checksum caught" `Quick
       test_fsck_bitflip_checksum;
+    Alcotest.test_case "fsck: headerless record set aside" `Quick
+      test_fsck_headerless_record;
     Alcotest.test_case "fsck: garbage journal segment healed" `Quick
       test_fsck_garbage_journal;
     Alcotest.test_case "fsck: orphan and conflicting markers" `Quick
@@ -1097,6 +1132,8 @@ let suite =
       test_report_version_rejected;
     Alcotest.test_case "fsfile: mkdir_p durability chain" `Quick
       test_fsfile_mkdir_p_nested;
+    Alcotest.test_case "fsfile: fsync_dir ignores only EINVAL" `Quick
+      test_fsfile_fsync_dir_errors;
     Alcotest.test_case "procpool: job codec round-trip" `Quick
       test_procpool_job_roundtrip;
     Alcotest.test_case "procpool: server codec round-trip" `Quick
